@@ -2,10 +2,10 @@
 
 Each benchmark measures one end-to-end detection run — a fresh Spark
 pattern-statistics store per round (so memoised aggregations from earlier
-rounds cannot flatter later ones) plus the full search. ``extra_info``
-records patterns examined and Spark aggregation counts so
-``bench_output.txt`` carries the paper's search-effort metric next to the
-timings.
+rounds cannot flatter later ones; each is unpersisted after its round)
+plus the full search. ``extra_info`` records patterns examined and Spark
+aggregation counts so ``bench_output.txt`` carries the paper's
+search-effort metric next to the timings.
 """
 from __future__ import annotations
 
@@ -26,16 +26,25 @@ def bench_detection(
         paper_default_global() if problem == "global" else PropSpec(0.8)
     )
     outcomes = []
+    stores = []
 
     def setup():
-        return (view.spark_store(),), {}
+        # The previous round's store is released outside the timed target.
+        if stores:
+            stores.pop().unpersist()
+        stores.append(view.spark_store())
+        return (stores[-1],), {}
 
     def target(store):
         out = run_algorithm(store, problem, algo, spec, tau, k_min, k_max)
         outcomes.append(out)
         return out
 
-    benchmark.pedantic(target, setup=setup, rounds=1, iterations=1)
+    try:
+        benchmark.pedantic(target, setup=setup, rounds=1, iterations=1)
+    finally:
+        for store in stores:
+            store.unpersist()
     last = outcomes[-1]
     assert not last.timed_out
     benchmark.extra_info["examined"] = last.examined

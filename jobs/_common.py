@@ -22,7 +22,6 @@ def get_spark(app: str) -> SparkSession:
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )

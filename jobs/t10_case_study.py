@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from _common import emit, get_spark, load_datasets, parse_args
 from repro.core import GlobalSpec, PropSpec, global_bounds, prop_bounds
-from repro.core.pattern import is_subpattern, pattern_to_str
+from repro.core.pattern import pattern_to_str
 from repro.divergence import divergence_subgroups
 
 K = 10
@@ -63,7 +63,7 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
         1
         for p in by_abs.head(5)["pattern"]
         for q in our
-        if is_subpattern(q, p) and len(q) < len(p)
+        if set(q) < set(p)
     )
     lines.append("")
     lines.append(

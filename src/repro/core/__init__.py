@@ -7,7 +7,6 @@ from repro.core.pattern import (  # noqa: F401
     attr_indices,
     children,
     has_ancestor_in,
-    is_subpattern,
     max_index,
     parents,
     pattern_to_str,

@@ -7,14 +7,21 @@
   for a pattern ``p`` at position ``k`` is ``α · s_D(p) · k / |D|``.
 * :func:`k_tilde` — the minimal ``k`` at which a currently-passing pattern
   becomes violating if its top-k count stays fixed (Section IV-C).
+* :func:`check_params` — the parameter check every detection entry point
+  runs first.
+
+The proportional bound is compared in integers, with ``α`` read as the
+exact fraction of its decimal form (``0.8`` is ``4/5``), so a bound that is
+exactly an integer is never rounded past the count it is compared with.
 
 Only the lower-bound side is implemented, matching the paper's evaluation
 (Section III: "for ease of presentation ... only the lower bounds").
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 
@@ -65,32 +72,54 @@ def paper_default_global() -> GlobalSpec:
     return GlobalSpec({10: 10, 20: 20, 30: 30, 40: 40})
 
 
+@lru_cache(maxsize=128)
+def _ratio(alpha: float) -> tuple[int, int]:
+    """``α`` as ``(numerator, denominator)`` of its decimal form."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    frac = Fraction(str(alpha))
+    return frac.numerator, frac.denominator
+
+
 @dataclass(frozen=True)
 class PropSpec:
     """Proportional lower bound of Problem 3.2: ``α · s_D(p) · k / |D|``."""
 
     alpha: float
+    _num: int = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        num, den = _ratio(self.alpha)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def violates(self, c: int, size: int, k: int, n: int) -> bool:
-        """True iff ``c < α · size · k / n`` (strict, as in Problem 3.2)."""
-        return c < self.alpha * size * k / n
+        """True iff ``c < α · size · k / n`` (strict, as in Problem 3.2),
+        evaluated exactly as ``c · n · den < num · size · k``."""
+        return c * n * self._den < self._num * size * k
 
 
 def k_tilde(c: int, size: int, alpha: float, n: int) -> int:
-    """Minimal ``k`` with ``c < α · size · k / n`` when ``c`` is held fixed.
+    """Minimal ``k`` with ``c < α · size · k / n`` when ``c`` is held fixed:
+    ``⌊c·n·den / (num·size)⌋ + 1`` for ``α = num/den``, in integers.
 
-    Closed form ``⌊c·n/(α·size)⌋ + 1`` with a float-safety nudge: the strict
-    inequality is re-checked with the same expression the search uses, so a
-    borderline floating-point rounding cannot desynchronize the two.
     Matches the paper's Example 4.7 (c=2, size=8, α=0.9, n=16 → k̃=5) and
     Example 4.9 (c=3, size=6 → k̃=9).
     """
-    if size <= 0 or alpha <= 0:
-        raise ValueError("size and alpha must be positive")
-    k = math.floor(c * n / (alpha * size)) + 1
-    # Nudge down while the previous k already violates, up while k does not.
-    while k > 1 and c < alpha * size * (k - 1) / n:
-        k -= 1
-    while not c < alpha * size * k / n:
-        k += 1
-    return k
+    if size <= 0:
+        raise ValueError(f"size must be positive, got {size}")
+    num, den = _ratio(alpha)
+    return c * n * den // (num * size) + 1
+
+
+def check_params(n: int, tau: int, k_min: int, k_max: int) -> None:
+    """Reject a k range outside ``1 ≤ k_min ≤ k_max ≤ n`` (``n`` = |D|) or
+    a size threshold ``τ_s < 1``."""
+    if not 1 <= k_min <= k_max <= n:
+        raise ValueError(
+            f"need 1 <= k_min <= k_max <= n, got k_min={k_min}, "
+            f"k_max={k_max}, n={n}"
+        )
+    if tau < 1:
+        raise ValueError(f"need tau >= 1, got tau={tau}")

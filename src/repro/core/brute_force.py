@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from repro.core.bounds import GlobalSpec, PropSpec
-from repro.core.pattern import Pattern
+from repro.core.bounds import GlobalSpec, PropSpec, check_params
+from repro.core.pattern import Pattern, has_ancestor_in
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import BaseStatsStore, PatternStat
 
@@ -46,6 +46,7 @@ def brute_force(
     k_max: int,
 ) -> SearchResult:
     """Reference result: most general substantial violating patterns per k."""
+    check_params(store.n, tau, k_min, k_max)
     substantial = _all_substantial(store, tau)
     n = store.n
     res: dict[int, frozenset[Pattern]] = {}
@@ -55,15 +56,7 @@ def brute_force(
             for p, st in substantial.items()
             if spec.violates(st.topk(k), st.size, k, n)
         }
-        most_general = set()
-        for p in violating:
-            items = list(p)
-            has_violating_ancestor = any(
-                tuple(anc) in violating
-                for r in range(1, len(items))
-                for anc in combinations(items, r)
-            )
-            if not has_violating_ancestor:
-                most_general.add(p)
-        res[k] = frozenset(most_general)
+        res[k] = frozenset(
+            p for p in violating if not has_ancestor_in(p, violating)
+        )
     return SearchResult(res=res, stats=SearchStats())

@@ -20,7 +20,7 @@ top-down search runs (Algorithm 2, lines 4–5).
 """
 from __future__ import annotations
 
-from repro.core.bounds import GlobalSpec
+from repro.core.bounds import GlobalSpec, check_params
 from repro.core.pattern import has_ancestor_in, satisfies
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import BaseStatsStore
@@ -37,6 +37,7 @@ def global_bounds(
 ) -> SearchResult:
     """Detect most general patterns with biased representation (global
     lower bounds) for every k in ``[k_min, k_max]``."""
+    check_params(store.n, tau, k_min, k_max)
     stats = SearchStats(deadline=deadline)
     out: dict[int, frozenset] = {}
     res, dres = top_down_search(store, spec, tau, k_min, stats)

@@ -2,7 +2,7 @@
 range (Section IV-A). Handles both problem definitions through the spec."""
 from __future__ import annotations
 
-from repro.core.bounds import GlobalSpec, PropSpec
+from repro.core.bounds import GlobalSpec, PropSpec, check_params
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import BaseStatsStore
 from repro.core.topdown import top_down_search
@@ -18,6 +18,7 @@ def iter_td(
 ) -> SearchResult:
     """Detect most general biased patterns for each k by independent
     top-down searches — no state is carried between consecutive k values."""
+    check_params(store.n, tau, k_min, k_max)
     stats = SearchStats(deadline=deadline)
     res = {}
     for k in range(k_min, k_max + 1):

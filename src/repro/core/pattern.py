@@ -8,7 +8,8 @@ hashable, orderable and cheap — the search algorithms keep millions of them.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import AbstractSet, Iterator, Sequence
 
 #: A pattern: ``((attr_idx, value), ...)`` sorted ascending by ``attr_idx``.
 Pattern = tuple[tuple[int, str], ...]
@@ -38,17 +39,16 @@ def satisfies(row: Sequence[str], p: Pattern) -> bool:
     return all(row[a] == v for a, v in p)
 
 
-def is_subpattern(a: Pattern, p: Pattern) -> bool:
-    """True iff ``a ⊆ p`` (``a`` is an ancestor of, or equal to, ``p``)."""
-    if len(a) > len(p):
-        return False
-    ps = set(p)
-    return all(item in ps for item in a)
+def has_ancestor_in(p: Pattern, pool: AbstractSet[Pattern]) -> bool:
+    """True iff some *proper* subpattern of ``p`` is in ``pool``.
 
-
-def has_ancestor_in(p: Pattern, pool: Iterable[Pattern]) -> bool:
-    """True iff some *proper* subpattern of ``p`` is in ``pool``."""
-    return any(len(a) < len(p) and is_subpattern(a, p) for a in pool)
+    Looks up each of the ``2^|p| − 1`` proper subpatterns (sorted, since
+    ``combinations`` keeps ``p``'s order) in the set ``pool``, most general
+    first, so the cost does not grow with the pool; patterns are short.
+    """
+    return any(
+        sub in pool for r in range(len(p)) for sub in combinations(p, r)
+    )
 
 
 def parents(p: Pattern) -> Iterator[Pattern]:

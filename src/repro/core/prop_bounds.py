@@ -9,14 +9,21 @@ stays fixed — in the map ``K``. Each step k:
 
 1. ``selectiveTD``: walk the generated search tree along nodes satisfied by
    the new tuple ``R(D)[k]`` (only their counts changed) and re-evaluate
-   each: a violating node that crossed back to passing is removed from
-   Res/DRes, given a fresh ``k̃`` and expanded (children generated on first
+   each: a violating node that crossed back to passing leaves Res/DRes,
+   gets a fresh ``k̃`` and is expanded (children generated on first
    expansion); a passing node gets a recomputed ``k̃``; a passing node that
-   turned violating moves into Res/DRes.
+   turned violating moves into DRes.
 2. ``K`` entries with ``k̃ ≤ k`` not satisfied by the new tuple (their count
    is unchanged, so the bound has caught up with them) become violating.
-3. The promotion pass moves DRes entries with no remaining Res ancestor
-   into Res.
+3. ``promote`` recomputes the Res/DRes split in closed form.
+
+Bookkeeping keeps each fact once. A generated pattern is violating iff it
+is in ``Res ∪ DRes`` and passing iff it is in ``K``; it has been expanded
+iff it is a key of ``children_of``. Within a step a pattern that turns
+violating goes to DRes without an ancestor check, so the split may be
+stale until step 3, which runs whenever ``Res ∪ DRes`` changed. Nothing
+before it reads the split, and ancestor checks are hashed subpattern
+lookups (:func:`has_ancestor_in`), so a step costs no scan of the frontier.
 
 Deviation from the paper: the paper keeps in ``K`` only entries whose ``k̃``
 decreases monotonically along a search-tree branch (a memory optimisation);
@@ -25,25 +32,22 @@ bookkeeping (see DESIGN.md §2).
 
 Invariants (checked in tests via ``check_invariants``): ``Res ∪ DRes`` is
 the set of generated currently-violating patterns, ``Res`` its most general
-subset; every pattern that has ever passed the bound has been expanded.
+subset; ``K`` holds the other generated patterns, each expanded.
 """
 from __future__ import annotations
 
-from repro.core.bounds import PropSpec, k_tilde
+from repro.core.bounds import PropSpec, check_params, k_tilde
 from repro.core.global_bounds import normalize_frontier
 from repro.core.pattern import (
     EMPTY,
     Pattern,
     children,
     has_ancestor_in,
-    is_subpattern,
     satisfies,
 )
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import BaseStatsStore
 from repro.core.topdown import child_attr_sets
-
-_PASS, _RES, _DRES = 0, 1, 2
 
 
 class _PropState:
@@ -62,65 +66,44 @@ class _PropState:
         self.stats = stats
         self.res: set[Pattern] = set()
         self.dres: set[Pattern] = set()
-        self.state: dict[Pattern, int] = {}
         self.K: dict[Pattern, int] = {}  # k̃ of passing patterns
         self.children_of: dict[Pattern, list[Pattern]] = {}
-        self.expanded: set[Pattern] = set()
-        #: Set on any violating↔passing transition; the promote() pass only
-        #: runs when the frontier actually changed this step.
+        #: Set when ``Res ∪ DRes`` changes; the promote() pass only runs
+        #: when the frontier actually changed this step.
         self.dirty = False
-
-    # -- bookkeeping -------------------------------------------------------
-    def _add_violating(self, p: Pattern) -> None:
-        self.K.pop(p, None)
-        if has_ancestor_in(p, self.res):
-            self.dres.add(p)
-            self.state[p] = _DRES
-        else:
-            self.res.add(p)
-            self.state[p] = _RES
-            # Unlike the global case, Res may hold descendants of a pattern
-            # that just turned violating — demote them to DRes.
-            for r in [r for r in self.res if len(p) < len(r) and is_subpattern(p, r)]:
-                self.res.discard(r)
-                self.dres.add(r)
-                self.state[r] = _DRES
-
-    def _mark_passing(self, p: Pattern, c: int, size: int, k: int) -> None:
-        self.res.discard(p)
-        self.dres.discard(p)
-        self.state[p] = _PASS
-        self.K[p] = k_tilde(c, size, self.spec.alpha, self.store.n)
 
     # -- evaluation / expansion -------------------------------------------
     def evaluate(self, p: Pattern, k: int, visited: set[Pattern]) -> None:
         """(Re-)evaluate the status of a generated pattern at position k;
-        expand it on a violating→passing transition."""
+        expand it on its first pass."""
         visited.add(p)
         self.stats.examined += 1
         if self.stats.examined % 512 == 0:
             self.stats.check_deadline()
         st = self.store.stat(p)
         c = st.topk(k)
-        was = self.state.get(p)
+        was_violating = p in self.res or p in self.dres
         if self.spec.violates(c, st.size, k, self.store.n):
-            if was in (_RES, _DRES):
-                return  # still violating — nothing changes
-            self.dirty = True
-            self._add_violating(p)
-        else:
-            if was != _PASS:
+            if not was_violating:
+                # promote() places p in Res or DRes at the end of the step.
+                self.K.pop(p, None)
+                self.dres.add(p)
                 self.dirty = True
-            self._mark_passing(p, c, st.size, k)
-            if p not in self.expanded:
-                self.expand(p, k, visited)
+            return
+        if was_violating:
+            self.res.discard(p)
+            self.dres.discard(p)
+            self.dirty = True
+        self.K[p] = k_tilde(c, st.size, self.spec.alpha, self.store.n)
+        if p not in self.children_of:
+            self.expand(p, k, visited)
 
     def expand(self, p: Pattern, k: int, visited: set[Pattern]) -> None:
         """Generate ``p``'s search-tree children (τ_s-substantial only) and
         evaluate each — recursing through their own expansions."""
-        self.expanded.add(p)
-        self.store.prefetch(child_attr_sets(p, len(self.store.domains)))
         kept: list[Pattern] = []
+        self.children_of[p] = kept
+        self.store.prefetch(child_attr_sets(p, len(self.store.domains)))
         for child in children(p, self.store.domains):
             self.stats.examined += 1
             st = self.store.stat(child)
@@ -128,7 +111,6 @@ class _PropState:
                 continue
             kept.append(child)
             self.evaluate(child, k, visited)
-        self.children_of[p] = kept
 
     # -- per-step phases ---------------------------------------------------
     def selective_td(self, new_tuple: tuple, k: int, visited: set) -> None:
@@ -159,18 +141,14 @@ class _PropState:
     def promote(self) -> None:
         """Normalize the violating frontier: Res = most general violating
         generated patterns (no violating ancestor in Res ∪ DRes), DRes the
-        rest. A closed-form pass is order-independent, so mid-step
-        transitions (crossers removed before their descendants were seen)
-        cannot leave a stale split. Skipped when no transition happened
-        this step (the split cannot have changed)."""
+        rest. A closed-form pass is order-independent, so it settles every
+        mid-step transition: new violators parked in DRes, crossers removed
+        before their descendants were seen. Skipped when ``Res ∪ DRes`` did
+        not change this step (the split cannot have changed)."""
         if not self.dirty:
             return
         self.dirty = False
         normalize_frontier(self.res, self.dres)
-        for p in self.res:
-            self.state[p] = _RES
-        for p in self.dres:
-            self.state[p] = _DRES
 
     def check_invariants(self, k: int) -> None:
         """Debug/test hook: verify the documented invariants at position k."""
@@ -183,7 +161,8 @@ class _PropState:
         for d in self.dres:
             assert has_ancestor_in(d, self.res), d
         for p, kt in self.K.items():
-            assert self.state[p] == _PASS and kt > k, (p, kt, k)
+            assert kt > k and p in self.children_of, (p, kt, k)
+            assert p not in self.res and p not in self.dres, p
 
 
 def prop_bounds(
@@ -197,6 +176,7 @@ def prop_bounds(
 ) -> SearchResult:
     """Detect most general patterns with biased proportional representation
     for every k in ``[k_min, k_max]`` (Algorithm 3)."""
+    check_params(store.n, tau, k_min, k_max)
     stats = SearchStats(deadline=deadline)
     s = _PropState(store, spec, tau, stats)
     visited: set[Pattern] = set()

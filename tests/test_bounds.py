@@ -1,6 +1,7 @@
 """Unit tests for bound specs and the k̃ computation (Section IV-C)."""
 import pytest
 
+from repro.core import brute_force, global_bounds, iter_td, prop_bounds
 from repro.core.bounds import GlobalSpec, PropSpec, k_tilde, paper_default_global
 
 
@@ -51,6 +52,17 @@ class TestPropSpec:
         assert spec.violates(2, 8, 5, 16)
         assert not spec.violates(3, 8, 5, 16)
 
+    def test_bound_equal_to_count_is_not_violating(self):
+        """0.8 · 3 · 5 / 12 is exactly 1; in floats it rounds to just
+        above 1, which once made a count of 1 violate."""
+        assert not PropSpec(0.8).violates(1, 3, 5, 12)
+        assert PropSpec(0.8).violates(0, 3, 5, 12)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_non_positive_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            PropSpec(alpha)
+
 
 class TestKTilde:
     def test_paper_example_4_7(self):
@@ -78,9 +90,47 @@ class TestKTilde:
         K (not violating, strict <), so k̃ = K+1."""
         # c=2, size=4, alpha=1, n=10 → c*n/(alpha*size) = 5 exactly.
         assert k_tilde(2, 4, 1.0, 10) == 6
+        # c·n/(α·size) = 5 exactly, but not in floats (0.8 is inexact).
+        assert k_tilde(1, 3, 0.8, 12) == 6
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             k_tilde(1, 0, 0.8, 10)
         with pytest.raises(ValueError):
             k_tilde(1, 5, 0.0, 10)
+
+
+class TestParameterCheck:
+    """Every detection entry point rejects an invalid k range or τ_s
+    before it starts searching."""
+
+    ALGORITHMS = [
+        (iter_td, PropSpec(0.8)),
+        (global_bounds, GlobalSpec({1: 2})),
+        (prop_bounds, PropSpec(0.8)),
+        (brute_force, PropSpec(0.8)),
+    ]
+
+    @pytest.fixture
+    def store(self, paper_ds):
+        return paper_ds.pandas_store()
+
+    @pytest.mark.parametrize("fn,spec", ALGORITHMS)
+    def test_k_min_below_one(self, store, fn, spec):
+        with pytest.raises(ValueError, match="k_min"):
+            fn(store, spec, 1, 0, 5)
+
+    @pytest.mark.parametrize("fn,spec", ALGORITHMS)
+    def test_k_min_above_k_max(self, store, fn, spec):
+        with pytest.raises(ValueError, match="k_min"):
+            fn(store, spec, 1, 6, 5)
+
+    @pytest.mark.parametrize("fn,spec", ALGORITHMS)
+    def test_k_max_above_n(self, store, fn, spec):
+        with pytest.raises(ValueError, match="n=16"):
+            fn(store, spec, 1, 1, store.n + 1)
+
+    @pytest.mark.parametrize("fn,spec", ALGORITHMS)
+    def test_tau_below_one(self, store, fn, spec):
+        with pytest.raises(ValueError, match="tau"):
+            fn(store, spec, 0, 1, 5)

@@ -8,7 +8,6 @@ from repro.core.pattern import (
     attr_indices,
     children,
     has_ancestor_in,
-    is_subpattern,
     max_index,
     parents,
     pattern_to_str,
@@ -51,14 +50,19 @@ def test_satisfies(row, p, expected):
     assert satisfies(row, p) is expected
 
 
+def _is_subpattern(a, p):
+    """``a ⊆ p``: equal, or a proper ancestor found by ``has_ancestor_in``."""
+    return a == p or has_ancestor_in(p, {a})
+
+
 def test_is_subpattern():
     p = ((0, "a"), (1, "x"))
-    assert is_subpattern(EMPTY, p)
-    assert is_subpattern(((0, "a"),), p)
-    assert is_subpattern(p, p)
-    assert not is_subpattern(((0, "b"),), p)
-    assert not is_subpattern(((2, "0"),), p)
-    assert not is_subpattern(((0, "a"), (1, "x"), (2, "0")), p)
+    assert _is_subpattern(EMPTY, p)
+    assert _is_subpattern(((0, "a"),), p)
+    assert _is_subpattern(p, p)
+    assert not _is_subpattern(((0, "b"),), p)
+    assert not _is_subpattern(((2, "0"),), p)
+    assert not _is_subpattern(((0, "a"), (1, "x"), (2, "0")), p)
 
 
 def test_has_ancestor_in_proper_only():
@@ -119,10 +123,29 @@ def test_subpattern_reflexive_and_antisymmetric(items):
     for a, v in items:
         by_attr[a] = v
     p = tuple(sorted(by_attr.items()))
-    assert is_subpattern(p, p)
+    assert _is_subpattern(p, p)
+    assert not has_ancestor_in(p, {p})
     for anc in parents(p):
-        assert is_subpattern(anc, p)
-        assert not is_subpattern(p, anc) or len(p) == len(anc)
+        assert _is_subpattern(anc, p)
+        assert has_ancestor_in(p, {anc})
+        assert not _is_subpattern(p, anc)
+
+
+#: A pattern over attributes 0–3 with values "a"/"b": small enough that
+#: random pools often hold subpatterns of a random pattern.
+_patterns = st.dictionaries(
+    st.integers(0, 3), st.sampled_from("ab"), max_size=4
+).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_patterns, st.sets(_patterns, max_size=8))
+def test_has_ancestor_in_matches_set_containment(p, pool):
+    """Property: the hashed lookup agrees with the definition — some pool
+    member is a proper subset of ``p``'s attribute/value pairs."""
+    expected = any(set(a) < set(p) for a in pool)
+    assert has_ancestor_in(p, pool) is expected
+    assert has_ancestor_in(p, pool | set(parents(p))) is bool(p)
 
 
 @settings(max_examples=100, deadline=None)
