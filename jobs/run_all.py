@@ -1,7 +1,7 @@
 """Orchestrator: run every table job once (T1–T11) and print all tables.
 
-The T11 census reuses the sweep rows already produced by T3–T6 instead of
-re-running them. Output (stdout) is the source for EXPERIMENTS.md.
+T7 and T11 are read off the sweep rows T3–T6 return; they run no detection
+of their own. Output (stdout) is the source for EXPERIMENTS.md.
 
 Usage: spark-submit jobs/run_all.py [--fast] [--timeout S]
 """
@@ -27,7 +27,6 @@ import t11_result_sizes
 def main(spark=None, fast: bool = False, timeout: float = 60.0) -> None:
     spark = spark or get_spark("run_all")
     t0 = time.time()
-    sweep_rows: list = []
 
     def stamp(label):
         print(f"\n[{time.time() - t0:7.1f}s] {label}", flush=True)
@@ -37,19 +36,15 @@ def main(spark=None, fast: bool = False, timeout: float = 60.0) -> None:
     stamp("T2")
     t2_attrs_prop.main(spark, fast, timeout)
     stamp("T3")
-    for rows in t3_tau_global.main(spark, fast, timeout, "global").values():
-        sweep_rows += rows
+    t3 = t3_tau_global.main(spark, fast, timeout)
     stamp("T4")
-    for rows in t4_tau_prop.main(spark, fast, timeout).values():
-        sweep_rows += rows
+    t4 = t4_tau_prop.main(spark, fast, timeout)
     stamp("T5")
-    for rows in t5_krange_global.main(spark, fast, timeout, "global").values():
-        sweep_rows += rows
+    t5 = t5_krange_global.main(spark, fast, timeout)
     stamp("T6")
-    for rows in t6_krange_prop.main(spark, fast, timeout).values():
-        sweep_rows += rows
+    t6 = t6_krange_prop.main(spark, fast, timeout)
     stamp("T7")
-    t7_patterns_examined.main(spark, fast, timeout)
+    t7_patterns_examined.main(t3, t4, t5, t6)
     stamp("T8")
     t8_shapley.main(spark, fast)
     stamp("T9")
@@ -57,7 +52,7 @@ def main(spark=None, fast: bool = False, timeout: float = 60.0) -> None:
     stamp("T10")
     t10_case_study.main(spark, fast)
     stamp("T11")
-    t11_result_sizes.main(spark, fast, timeout, precomputed_rows=sweep_rows)
+    t11_result_sizes.main(t3, t4, t5, t6)
     stamp("done")
 
 

@@ -1,47 +1,26 @@
 """T11 (paper §III in-text): fraction of result sets with fewer than 100
 reported groups — the paper observed 97.58% across its runs. We census
-every (run, k) result set across the τ_s and k-range sweeps at default
-parameters.
+every (run, k) result set of the τ_s and k-range sweeps (T3–T6) at default
+parameters, read off their rows.
 
 Usage: spark-submit jobs/t11_result_sizes.py [--fast] [--timeout S]
+(runs T3–T6 first)
 """
 from __future__ import annotations
 
-from _common import emit, get_spark, load_datasets, parse_args, spark_store_factory
-from repro.experiments import result_size_census, sweep_krange, sweep_tau
-from t3_tau_global import ATTR_CAP, FAST_TAUS, TAUS
-from t5_krange_global import FAST_GRID, K_GRIDS
+import t3_tau_global
+import t4_tau_prop
+import t5_krange_global
+import t6_krange_prop
+from _common import emit, get_spark, parse_args
+from repro.experiments import result_size_census
 
 
-def main(
-    spark=None,
-    fast: bool = False,
-    timeout: float = 120.0,
-    precomputed_rows: list | None = None,
-) -> dict:
-    """Census over ``precomputed_rows`` when the orchestrator already ran
-    the sweeps (jobs/run_all.py); otherwise runs its own τ_s and k-range
-    sweeps."""
-    rows = precomputed_rows
-    if rows is None:
-        spark = spark or get_spark("t11_result_sizes")
-        rows = []
-        for name, ds in load_datasets(spark, fast).items():
-            view = ds.with_attrs(min(ATTR_CAP[name], len(ds.pattern_attrs)))
-            for problem in ("global", "prop"):
-                rows += sweep_tau(
-                    view, problem, FAST_TAUS if fast else TAUS,
-                    spark_store_factory, timeout_s=timeout,
-                )
-                grid = [
-                    k for k in (FAST_GRID if fast else K_GRIDS[name])
-                    if k <= ds.n
-                ]
-                rows += sweep_krange(
-                    view, problem, grid, spark_store_factory,
-                    timeout_s=timeout,
-                )
-    census = result_size_census(rows)
+def main(t3: dict, t4: dict, t5: dict, t6: dict) -> dict:
+    """Census over the outputs of the T3–T6 jobs (dataset → sweep rows)."""
+    census = result_size_census([
+        row for out in (t3, t4, t5, t6) for rows in out.values() for row in rows
+    ])
     emit(
         "T11 result-set sizes",
         f"result sets: {census['result_sets']}; "
@@ -53,4 +32,8 @@ def main(
 
 if __name__ == "__main__":
     args = parse_args(__doc__)
-    main(fast=args.fast, timeout=args.timeout)
+    run = (get_spark("t11_result_sizes"), args.fast, args.timeout)
+    main(
+        t3_tau_global.main(*run), t4_tau_prop.main(*run),
+        t5_krange_global.main(*run), t6_krange_prop.main(*run),
+    )

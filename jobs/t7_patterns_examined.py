@@ -1,24 +1,32 @@
 """T7 (paper §VI-B in-text): patterns-examined gain of the optimized
-algorithms over ITERTD at the default parameters, per dataset and problem.
+algorithms over ITERTD, per dataset and problem.
 
 Paper values — global: COMPAS 39.35%, Student 56.87%, German 29.27%;
 proportional: 39.60%, 20.49%, 56.83%. The paper computed the gain over its
 widest k-range sweep; we report both the default range [10,49] and the wide
 range of T5/T6.
 
+Both ranges are points the figure sweeps already run, so the table is read
+off their rows: the default range is the T3/T4 row at the default τ_s, the
+wide range the last T5/T6 row.
+
 Usage: spark-submit jobs/t7_patterns_examined.py [--fast] [--timeout S]
+(runs T3–T6 first)
 """
 from __future__ import annotations
 
-from _common import emit, get_spark, load_datasets, parse_args, spark_store_factory
-from repro.experiments import DEFAULTS, sweep_krange
+import t3_tau_global
+import t4_tau_prop
+import t5_krange_global
+import t6_krange_prop
+from _common import emit, get_spark, parse_args
+from repro.experiments import DEFAULTS
 from repro.experiments.sweeps import examined_gain
-from t3_tau_global import ATTR_CAP
-from t5_krange_global import K_GRIDS
 
 
-def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
-    spark = spark or get_spark("t7_gains")
+def main(t3: dict, t4: dict, t5: dict, t6: dict) -> dict:
+    """Gains from the outputs of the T3–T6 jobs (dataset → sweep rows);
+    returns ``{(dataset, problem, k_max): gain or None}``."""
     out = {}
     lines = [
         "| dataset | problem | k range | baseline examined | "
@@ -30,16 +38,14 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
         ("german", "global"): "29.27%", ("compas", "prop"): "39.60%",
         ("student", "prop"): "20.49%", ("german", "prop"): "56.83%",
     }
-    for name, ds in load_datasets(spark, fast).items():
-        view = ds.with_attrs(min(ATTR_CAP[name], len(ds.pattern_attrs)))
-        k_wide = min(40 if fast else K_GRIDS[name][-1], ds.n)
-        for problem in ("global", "prop"):
-            for k_max in (DEFAULTS.k_max, k_wide):
-                rows = sweep_krange(
-                    view, problem, [k_max], spark_store_factory,
-                    timeout_s=timeout,
-                )
-                row = rows[0]
+    for name in t3:
+        for problem, tau_rows, krange_rows in (
+            ("global", t3[name], t5[name]),
+            ("prop", t4[name], t6[name]),
+        ):
+            default = next(r for r in tau_rows if r["tau"] == DEFAULTS.tau)
+            wide = krange_rows[-1]
+            for k_max, row in ((DEFAULTS.k_max, default), (wide["k_max"], wide)):
                 gain = examined_gain(row)
                 out[(name, problem, k_max)] = gain
                 base, opt = row["baseline"], row["optimized"]
@@ -55,4 +61,8 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
 
 if __name__ == "__main__":
     args = parse_args(__doc__)
-    main(fast=args.fast, timeout=args.timeout)
+    run = (get_spark("t7_gains"), args.fast, args.timeout)
+    main(
+        t3_tau_global.main(*run), t4_tau_prop.main(*run),
+        t5_krange_global.main(*run), t6_krange_prop.main(*run),
+    )

@@ -17,6 +17,10 @@ Two interchangeable implementations:
 * :class:`PandasStatsStore` — identical semantics over a pandas mirror; used
   by the fast randomized correctness grids. A dedicated test module asserts
   Spark ≡ pandas ≡ DuckDB (via ``repro.oracle``).
+
+Values are keyed as strings. A null is one value of its own, ``'None'``, in
+both stores, as in Spark and SQL ``GROUP BY``: nulls form a group, appear in
+``domains`` and match patterns such as ``{A=None}``.
 """
 from __future__ import annotations
 
@@ -46,6 +50,12 @@ class PatternStat(NamedTuple):
 GroupStats = dict[tuple[str, ...], PatternStat]
 
 
+def _key(v) -> str:
+    """A pandas cell as a pattern value: ``'None'`` for any null (``None``,
+    ``NaN``, ``NaT``), as Spark renders it, else ``str(v)``."""
+    return "None" if pd.isna(v) else str(v)
+
+
 class BaseStatsStore:
     """Shared memoisation, domain discovery and lookup logic."""
 
@@ -55,7 +65,6 @@ class BaseStatsStore:
         self._groups: dict[tuple[int, ...], GroupStats] = {}
         self._row_values: list[tuple[str, ...]] | None = None
         self.jobs = 0  # aggregations actually computed (cache misses)
-        self.lookups = 0  # stat() calls served
         #: Wall-clock seconds spent inside aggregations. The experiment
         #: tables report search time = total − agg time, isolating the
         #: paper's algorithmic cost from the (shared) counting substrate.
@@ -111,7 +120,6 @@ class BaseStatsStore:
 
     def stat(self, p: Pattern) -> PatternStat | None:
         """Stats of one pattern (``None`` if no tuple satisfies it)."""
-        self.lookups += 1
         if not p:
             return PatternStat(self.n, tuple(range(1, self.n + 1)))
         return self.group(attr_indices(p)).get(pattern_values(p))
@@ -150,10 +158,12 @@ class PandasStatsStore(BaseStatsStore):
     def _aggregate(self, attr_idxs: tuple[int, ...]) -> GroupStats:
         cols = [self.attr_names[i] for i in attr_idxs]
         out: GroupStats = {}
-        grouped = self._pdf.groupby(cols, sort=False)[self.rank_col]
+        grouped = self._pdf.groupby(cols, sort=False, dropna=False)[
+            self.rank_col
+        ]
         for key, ranks in grouped:
             key_t = key if isinstance(key, tuple) else (key,)
-            key_t = tuple(str(v) for v in key_t)
+            key_t = tuple(_key(v) for v in key_t)
             sorted_ranks = tuple(sorted(int(r) for r in ranks))
             out[key_t] = PatternStat(len(sorted_ranks), sorted_ranks)
         return out
@@ -161,7 +171,7 @@ class PandasStatsStore(BaseStatsStore):
     def _collect_rows(self) -> list[tuple[str, ...]]:
         ordered = self._pdf.sort_values(self.rank_col)
         return [
-            tuple(str(v) for v in row)
+            tuple(_key(v) for v in row)
             for row in ordered[self.attr_names].itertuples(index=False)
         ]
 

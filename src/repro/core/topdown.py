@@ -43,22 +43,14 @@ def top_down_search(
     tau: int,
     k: int,
     stats: SearchStats,
-    roots: list[Pattern] | None = None,
 ) -> tuple[set[Pattern], set[Pattern]]:
-    """Run Algorithm 1 for one ``k``; returns ``(Res, DRes)``.
-
-    ``roots`` lets GLOBALBOUNDS resume the search from the children of a
-    specific node (``searchFromNode``); the default starts from the root.
-    When resuming, pass the current ``Res``/``DRes`` via
-    :func:`resume_search` instead.
-    """
+    """Run Algorithm 1 for one ``k`` from the root; returns ``(Res, DRes)``.
+    GLOBALBOUNDS continues a search from a given node with
+    :func:`resume_search`."""
     res: set[Pattern] = set()
     dres: set[Pattern] = set()
-    start = roots if roots is not None else [EMPTY]
-    queue: deque[Pattern] = deque()
-    for r in start:
-        store.prefetch(child_attr_sets(r, len(store.domains)))
-        queue.extend(children(r, store.domains))
+    store.prefetch(child_attr_sets(EMPTY, len(store.domains)))
+    queue: deque[Pattern] = deque(children(EMPTY, store.domains))
     _drain(store, spec, tau, k, stats, queue, res, dres)
     return res, dres
 

@@ -35,7 +35,6 @@ class RunOutcome:
     algo: str
     time_s: float
     examined: int
-    store_jobs: int
     timed_out: bool
     agg_s: float = 0.0
     res: dict[int, frozenset] | None = None
@@ -60,7 +59,6 @@ def run_algorithm(
     ``timed_out`` outcome instead of raising (matching the paper's
     10-minute-timeout sweeps where slow points are reported as such)."""
     fn = ALGORITHMS[(problem, algo)]
-    jobs_before = store.jobs
     agg_before = store.agg_seconds
     start = time.monotonic()
     deadline = None if timeout_s is None else start + timeout_s
@@ -72,7 +70,6 @@ def run_algorithm(
             algo=algo,
             time_s=time.monotonic() - start,
             examined=-1,
-            store_jobs=store.jobs - jobs_before,
             timed_out=True,
             agg_s=store.agg_seconds - agg_before,
         )
@@ -82,7 +79,6 @@ def run_algorithm(
         algo=algo,
         time_s=elapsed,
         examined=result.stats.examined,
-        store_jobs=store.jobs - jobs_before,
         timed_out=False,
         agg_s=store.agg_seconds - agg_before,
         res=result.res,

@@ -33,8 +33,14 @@ def student_ds(spark):
 @pytest.fixture(scope="session")
 def compas_ds(spark):
     """Synthetic COMPAS dataset at reduced test scale (2,000 rows);
-    benchmarks/jobs use the full 6,889."""
+    the jobs use the full 6,889."""
     return compas(spark, n=2000, seed=7)
+
+
+@pytest.fixture(scope="session")
+def compas_full(spark):
+    """Synthetic COMPAS dataset at full paper size (6,889 rows)."""
+    return compas(spark, n=6889, seed=7)
 
 
 @pytest.fixture(scope="session")

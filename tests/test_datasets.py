@@ -103,9 +103,8 @@ class TestCompas:
         again = compas(spark, n=2000, seed=7)
         pd.testing.assert_frame_equal(again.pdf, compas_ds.pdf)
 
-    def test_full_size_default(self, spark):
-        ds = compas(spark, n=6889, seed=7)
-        assert ds.n == 6889
+    def test_full_size_default(self, compas_full):
+        assert compas_full.n == 6889
 
 
 class TestGerman:

@@ -1,6 +1,6 @@
 """Property test: on any small ranked table — constant columns, duplicate
-rows, the full k range 1..n, τ_s of 1 or n — ITERTD, GLOBALBOUNDS and
-PROPBOUNDS equal the brute-force reference."""
+rows, nulls, the full k range 1..n, τ_s of 1 or n — ITERTD, GLOBALBOUNDS
+and PROPBOUNDS equal the brute-force reference."""
 import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +19,12 @@ from repro.core import (
 @st.composite
 def ranked_tables(draw):
     """``(store, global spec, α, τ_s)`` for a random table of 1–12 rows
-    over 1–3 attributes, each with 1–3 values (1 makes it constant)."""
+    over 1–3 attributes, each with 1–4 values from ``x, None, y, z`` (1
+    makes it constant)."""
     n = draw(st.integers(1, 12))
     columns = {
         f"A{i}": draw(st.lists(
-            st.sampled_from("xyz"[: draw(st.integers(1, 3))]),
+            st.sampled_from(("x", None, "y", "z")[: draw(st.integers(1, 4))]),
             min_size=n, max_size=n,
         ))
         for i in range(draw(st.integers(1, 3)))

@@ -79,6 +79,30 @@ class TestSweeps:
             assert r["baseline"].res == r["optimized"].res
         assert rows[-1]["baseline"].examined > rows[0]["baseline"].examined
 
+    @pytest.mark.parametrize("problem", ["global", "prop"])
+    @pytest.mark.parametrize(
+        "dataset, taus, k_maxes",
+        [("student_ds", [10, 50, 100], []), ("compas_full", [50], []),
+         ("german_ds", [50], [150])],
+        ids=["student", "compas", "german"],
+    )
+    def test_optimized_matches_baseline_on_evaluation_datasets(
+        self, request, dataset, taus, k_maxes, problem
+    ):
+        """On 8 attributes of each full-size evaluation dataset, at the
+        paper's defaults and at τ_s / k-range points of Figs. 6–9, the
+        optimized algorithm returns ITERTD's result sets and examines fewer
+        patterns (paper §VI-B)."""
+        view = request.getfixturevalue(dataset).with_attrs(8)
+        rows = sweep_tau(
+            view, problem, taus, _pandas_factory, timeout_s=None
+        ) + sweep_krange(
+            view, problem, k_maxes, _pandas_factory, timeout_s=None
+        )
+        for r in rows:
+            assert r["optimized"].res == r["baseline"].res
+            assert examined_gain(r) > 0
+
     def test_examined_gain_positive_on_wide_range(self, paper_ds):
         rows = sweep_krange(
             paper_ds, "global", [16], _pandas_factory, SMALL, None

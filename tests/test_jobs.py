@@ -1,13 +1,21 @@
 """Smoke tests: every jobs/t*.py entrypoint runs end to end in --fast mode
-on the session SparkSession and returns structured results."""
+on the session SparkSession and returns structured results. T3–T6 run once,
+in a module fixture; T7 and T11 are computed from their rows."""
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.experiments import DEFAULTS, sweep_krange, sweep_tau
+from repro.experiments.sweeps import examined_gain
+
 JOBS_DIR = str(Path(__file__).resolve().parent.parent / "jobs")
 if JOBS_DIR not in sys.path:
     sys.path.insert(0, JOBS_DIR)
+
+
+def _pandas_store(ds):
+    return ds.pandas_store()
 
 
 @pytest.fixture(scope="module")
@@ -36,43 +44,71 @@ def test_t2_attrs_prop(spark, fast_kwargs):
                 assert row["baseline"].res == row["optimized"].res
 
 
-def test_t3_tau_global(spark, fast_kwargs):
-    from t3_tau_global import main
+@pytest.fixture(scope="module")
+def sweeps(spark, fast_kwargs):
+    """The T3–T6 outputs, run once: T7 and T11 are read off these rows."""
+    import t3_tau_global, t4_tau_prop, t5_krange_global, t6_krange_prop
 
-    out = main(spark, **fast_kwargs)
-    assert all(len(rows) == 2 for rows in out.values())
+    return {
+        "t3": t3_tau_global.main(spark, **fast_kwargs),
+        "t4": t4_tau_prop.main(spark, **fast_kwargs),
+        "t5": t5_krange_global.main(spark, **fast_kwargs),
+        "t6": t6_krange_prop.main(spark, **fast_kwargs),
+    }
 
 
-def test_t4_tau_prop(spark, fast_kwargs):
-    from t4_tau_prop import main
-
-    out = main(spark, **fast_kwargs)
-    assert all(len(rows) == 2 for rows in out.values())
+def test_t3_tau_global(sweeps):
+    assert all(len(rows) == 2 for rows in sweeps["t3"].values())
 
 
-def test_t5_krange_global(spark, fast_kwargs):
-    from t5_krange_global import main
+def test_t4_tau_prop(sweeps):
+    assert all(len(rows) == 2 for rows in sweeps["t4"].values())
 
-    out = main(spark, **fast_kwargs)
-    for rows in out.values():
+
+def test_t5_krange_global(sweeps):
+    for rows in sweeps["t5"].values():
         assert [r["k_max"] for r in rows] == [20, 40]
 
 
-def test_t6_krange_prop(spark, fast_kwargs):
-    from t6_krange_prop import main
-
-    out = main(spark, **fast_kwargs)
-    assert len(out) == 3
+def test_t6_krange_prop(sweeps):
+    assert len(sweeps["t6"]) == 3
 
 
-def test_t7_gains(spark, fast_kwargs):
+def test_t7_gains(sweeps):
     from t7_patterns_examined import main
 
-    out = main(spark, **fast_kwargs)
+    out = main(**sweeps)
     assert len(out) == 12  # 3 datasets × 2 problems × 2 ranges
     for gain in out.values():
         if gain is not None:
             assert gain < 1.0
+
+
+def test_t7_gains_equal_direct_krange_runs(german_ds):
+    """T7 read off T3–T6-shaped rows gives the gains of direct k-range runs
+    at k_max = 49 and at the widest k (pandas store)."""
+    from t7_patterns_examined import main
+
+    view = german_ds.with_attrs(6)
+    wide = 150
+    tau_rows, krange_rows = {}, {}
+    for problem in ("global", "prop"):
+        tau_rows[problem] = {"german": sweep_tau(
+            view, problem, [20, DEFAULTS.tau], _pandas_store, timeout_s=None
+        )}
+        krange_rows[problem] = {"german": sweep_krange(
+            view, problem, [20, wide], _pandas_store, timeout_s=None
+        )}
+    gains = main(
+        tau_rows["global"], tau_rows["prop"],
+        krange_rows["global"], krange_rows["prop"],
+    )
+    for problem in ("global", "prop"):
+        for k_max in (DEFAULTS.k_max, wide):
+            direct = sweep_krange(
+                view, problem, [k_max], _pandas_store, timeout_s=None
+            )[0]
+            assert gains[("german", problem, k_max)] == examined_gain(direct)
 
 
 def test_t8_shapley(spark):
@@ -104,9 +140,9 @@ def test_t10_case_study(spark):
     assert len(out["divergence"]) >= max(len(out["global"]), len(out["prop"]))
 
 
-def test_t11_result_sizes(spark, fast_kwargs):
+def test_t11_result_sizes(sweeps):
     from t11_result_sizes import main
 
-    census = main(spark, **fast_kwargs)
+    census = main(**sweeps)
     assert census["result_sets"] > 0
     assert 0.0 <= census["fraction"] <= 1.0

@@ -1,8 +1,10 @@
 """Spark pattern-statistics store: equivalence with the pandas twin and
 with the DuckDB oracle (repro.oracle.assert_equivalent)."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.store import PandasStatsStore, SparkStatsStore
 from repro.oracle import assert_equivalent
 
 
@@ -128,3 +130,22 @@ class TestPrefetch:
         ps = student_ds.pandas_store()
         for s in sets[:5]:
             assert ss.group(s) == ps.group(s)
+
+
+def test_null_is_one_value_in_both_stores(spark):
+    """A null is the value 'None' in both stores: a group of its own, a
+    member of ``domains`` and the rendering of ``row_at_rank``."""
+    pdf = pd.DataFrame({
+        "A": ["x", None, "x", "y"],
+        "B": ["u", "v", None, None],
+        "rank": [1, 2, 3, 4],
+    })
+    ps = PandasStatsStore(pdf, ["A", "B"])
+    ss = SparkStatsStore(spark.createDataFrame(pdf), ["A", "B"])
+    assert ps.domains == ss.domains == [["None", "x", "y"], ["None", "u", "v"]]
+    for attrs in [(0,), (1,), (0, 1)]:
+        assert ps.group(attrs) == ss.group(attrs)
+    assert ps.stat(((0, "None"), (1, "v"))).ranks == (2,)
+    for k in range(1, 5):
+        assert ps.row_at_rank(k) == ss.row_at_rank(k)
+    ss.unpersist()
