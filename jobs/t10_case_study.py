@@ -12,7 +12,9 @@ Usage: spark-submit jobs/t10_case_study.py [--fast]
 from __future__ import annotations
 
 from _common import emit, get_spark, load_datasets, parse_args
-from repro.core import GlobalSpec, PropSpec, global_bounds, prop_bounds
+from repro.core import GlobalSpec, PropSpec
+from repro.core.global_bounds import global_bounds
+from repro.core.prop_bounds import prop_bounds
 from repro.core.pattern import pattern_to_str
 from repro.divergence import divergence_subgroups
 

@@ -7,7 +7,8 @@ Usage: spark-submit jobs/t5_krange_global.py [--fast] [--timeout S]
 """
 from __future__ import annotations
 
-from _common import emit, get_spark, load_datasets, parse_args, spark_store_factory
+from _common import emit, get_spark, load_datasets, parse_args
+from repro.datasets.base import RankedDataset
 from repro.experiments import format_rows, sweep_krange
 from t3_tau_global import ATTR_CAP
 
@@ -27,7 +28,7 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0, problem: str = 
         grid = FAST_GRID if fast else K_GRIDS[name]
         grid = [k for k in grid if k <= ds.n]
         rows = sweep_krange(
-            view, problem, grid, spark_store_factory, timeout_s=timeout
+            view, problem, grid, RankedDataset.spark_store, timeout_s=timeout
         )
         out[name] = rows
         emit(f"{problem} bounds, k-range sweep — {name}", format_rows(rows, "k_max"))

@@ -27,6 +27,6 @@ from repro.core.store import (  # noqa: F401
 )
 from repro.core.result import SearchResult, SearchStats  # noqa: F401
 from repro.core.itertd import iter_td  # noqa: F401
-from repro.core.global_bounds import global_bounds  # noqa: F401
-from repro.core.prop_bounds import prop_bounds  # noqa: F401
-from repro.core.brute_force import brute_force  # noqa: F401
+# The modules, not their functions of the same names, so that
+# ``import repro.core.global_bounds as gb`` gives the module.
+from repro.core import brute_force, global_bounds, prop_bounds  # noqa: F401

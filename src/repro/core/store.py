@@ -1,22 +1,24 @@
 """Pattern-statistics stores: the data substrate of the search algorithms.
 
-For an attribute subset ``S`` the store computes, in one aggregation over the
-ranked dataset, ``{value-combination → (s_D, sorted ranks)}``. Because the
-sorted rank list of a pattern is kept, ``s_{R^k(D)}(p)`` for *any* ``k`` is a
-binary search — one aggregation serves the entire k-range and every
-algorithm, so runtime differences between ITERTD and the optimized
-algorithms reflect patterns examined (the paper's metric), not redundant
-counting.
+A store collects the ranked table to the driver once, at construction; the
+rows give ``n``, ``domains`` and ``row_at_rank``. For an attribute subset
+``S`` it computes, in one aggregation,
+``{value-combination → (s_D, sorted ranks)}``. Because the sorted rank list
+of a pattern is kept, ``s_{R^k(D)}(p)`` for *any* ``k`` is a binary search —
+one aggregation serves the entire k-range and every algorithm, so runtime
+differences between ITERTD and the optimized algorithms reflect patterns
+examined (the paper's metric), not redundant counting.
 
-Two interchangeable implementations:
+Two implementations with the same semantics:
 
 * :class:`SparkStatsStore` — the production path:
   ``df.groupBy(S).agg(count(*), sort_array(collect_list(rank)))`` on a cached
-  DataFrame (a DataFrame aggregation over the ranked data, per attribute set,
-  memoised).
-* :class:`PandasStatsStore` — identical semantics over a pandas mirror; used
-  by the fast randomized correctness grids. A dedicated test module asserts
-  Spark ≡ pandas ≡ DuckDB (via ``repro.oracle``).
+  DataFrame, per attribute set and memoised, or one GROUPING SETS
+  aggregation for several sets (``prefetch``).
+* :class:`PandasStatsStore` — groups the collected rows on the driver, one
+  pass per attribute set; the reference the Spark store is tested against
+  and the store of the fast correctness grids. A dedicated test module
+  asserts Spark ≡ pandas ≡ DuckDB (via ``repro.oracle``).
 
 Values are keyed as strings. A null is one value of its own, ``'None'``, in
 both stores, as in Spark and SQL ``GROUP BY``: nulls form a group, appear in
@@ -50,50 +52,48 @@ class PatternStat(NamedTuple):
 GroupStats = dict[tuple[str, ...], PatternStat]
 
 
-def _key(v) -> str:
-    """A pandas cell as a pattern value: ``'None'`` for any null (``None``,
-    ``NaN``, ``NaT``), as Spark renders it, else ``str(v)``."""
-    return "None" if pd.isna(v) else str(v)
-
-
 class BaseStatsStore:
-    """Shared memoisation, domain discovery and lookup logic."""
+    """Shared collection, memoisation and lookup logic; groups the
+    collected rows on the driver."""
 
     def __init__(self, attr_names: Sequence[str], rank_col: str = "rank"):
         self.attr_names = list(attr_names)
         self.rank_col = rank_col
         self._groups: dict[tuple[int, ...], GroupStats] = {}
-        self._row_values: list[tuple[str, ...]] | None = None
         self.jobs = 0  # aggregations actually computed (cache misses)
         #: Wall-clock seconds spent inside aggregations. The experiment
         #: tables report search time = total − agg time, isolating the
         #: paper's algorithmic cost from the (shared) counting substrate.
         self.agg_seconds = 0.0
-        self.n = self._count_rows()
-        self._domains: list[list[str]] | None = None
+        ranked = self._collect_rows()
+        self.n = len(ranked)
+        if [r for r, _ in ranked] != list(range(1, self.n + 1)):
+            raise ValueError(f"{rank_col!r} must be exactly 1..n")
+        #: Pattern-attribute values of the tuple at rank k, at ``k - 1``.
+        self._rows = [row for _, row in ranked]
+        #: Active domain of each attribute, sorted for determinism.
+        self.domains: list[list[str]] = [
+            sorted({row[i] for row in self._rows})
+            for i in range(len(self.attr_names))
+        ]
 
-    # -- to be provided by subclasses -------------------------------------
-    def _count_rows(self) -> int:
+    def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
+        """``(rank, pattern-attribute values)`` of every tuple, ordered by
+        rank."""
         raise NotImplementedError
 
     def _aggregate(self, attr_idxs: tuple[int, ...]) -> GroupStats:
-        raise NotImplementedError
-
-    def _collect_rows(self) -> list[tuple[str, ...]]:
-        """All tuples' pattern-attribute values, ordered by rank (1..n)."""
-        raise NotImplementedError
+        """One pass over the collected rows; a row's position is its rank,
+        so each rank list comes out sorted."""
+        ranks: dict[tuple[str, ...], list[int]] = {}
+        keys = zip(*([row[i] for row in self._rows] for i in attr_idxs))
+        for rank, key in enumerate(keys, 1):
+            ranks.setdefault(key, []).append(rank)
+        return {
+            key: PatternStat(len(rs), tuple(rs)) for key, rs in ranks.items()
+        }
 
     # -- public API --------------------------------------------------------
-    @property
-    def domains(self) -> list[list[str]]:
-        """Active domain of each attribute, sorted for determinism."""
-        if self._domains is None:
-            doms = []
-            for i in range(len(self.attr_names)):
-                doms.append(sorted(v[0] for v in self.group((i,))))
-            self._domains = doms
-        return self._domains
-
     def group(self, attr_idxs: tuple[int, ...]) -> GroupStats:
         """Stats for every existing value combination over ``attr_idxs``.
 
@@ -135,9 +135,7 @@ class BaseStatsStore:
     def row_at_rank(self, k: int) -> tuple[str, ...]:
         """Pattern-attribute values of ``R(D)[k]``, the k-th ranked tuple
         (needed by the incremental algorithms)."""
-        if self._row_values is None:
-            self._row_values = self._collect_rows()
-        return self._row_values[k - 1]
+        return self._rows[k - 1]
 
 
 class PandasStatsStore(BaseStatsStore):
@@ -149,30 +147,16 @@ class PandasStatsStore(BaseStatsStore):
         attr_names: Sequence[str],
         rank_col: str = "rank",
     ):
-        self._pdf = pdf.reset_index(drop=True)
+        self._pdf = pdf
         super().__init__(attr_names, rank_col)
 
-    def _count_rows(self) -> int:
-        return len(self._pdf)
-
-    def _aggregate(self, attr_idxs: tuple[int, ...]) -> GroupStats:
-        cols = [self.attr_names[i] for i in attr_idxs]
-        out: GroupStats = {}
-        grouped = self._pdf.groupby(cols, sort=False, dropna=False)[
-            self.rank_col
-        ]
-        for key, ranks in grouped:
-            key_t = key if isinstance(key, tuple) else (key,)
-            key_t = tuple(_key(v) for v in key_t)
-            sorted_ranks = tuple(sorted(int(r) for r in ranks))
-            out[key_t] = PatternStat(len(sorted_ranks), sorted_ranks)
-        return out
-
-    def _collect_rows(self) -> list[tuple[str, ...]]:
+    def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
         ordered = self._pdf.sort_values(self.rank_col)
+        # Any null (None, NaN, NaT) is the value 'None', as Spark renders it.
         return [
-            tuple(_key(v) for v in row)
-            for row in ordered[self.attr_names].itertuples(index=False)
+            (rank, tuple("None" if pd.isna(v) else str(v) for v in row))
+            for rank, *row in ordered[[self.rank_col, *self.attr_names]]
+            .itertuples(index=False)
         ]
 
 
@@ -181,7 +165,8 @@ class SparkStatsStore(BaseStatsStore):
 
     ``df`` must carry the pattern attributes plus a dense 1-based integer
     ``rank`` column (see ``repro.ranking.rankers.add_rank``). The DataFrame
-    is cached on first use so each aggregation scans memory, not the source.
+    is cached, and the collect at construction fills the cache, so each
+    aggregation scans memory, not the source.
     """
 
     def __init__(
@@ -194,10 +179,11 @@ class SparkStatsStore(BaseStatsStore):
             *[F.col(a).cast("string").alias(a) for a in attr_names],
             F.col(rank_col).cast("long").alias(rank_col),
         ).cache()
-        super().__init__(attr_names, rank_col)
-
-    def _count_rows(self) -> int:
-        return self._df.count()
+        try:
+            super().__init__(attr_names, rank_col)
+        except ValueError:
+            self._df.unpersist()
+            raise
 
     def _aggregate(self, attr_idxs: tuple[int, ...]) -> GroupStats:
         cols = [self.attr_names[i] for i in attr_idxs]
@@ -216,9 +202,12 @@ class SparkStatsStore(BaseStatsStore):
             for r in rows
         }
 
-    def _collect_rows(self) -> list[tuple[str, ...]]:
+    def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
         rows = self._df.orderBy(self.rank_col).collect()
-        return [tuple(str(r[a]) for a in self.attr_names) for r in rows]
+        return [
+            (r[self.rank_col], tuple(str(r[a]) for a in self.attr_names))
+            for r in rows
+        ]
 
     #: Max grouping sets per batched aggregation (keeps the generated plan
     #: a reasonable size; batches are chunked beyond this).

@@ -1,22 +1,24 @@
-"""Single-run wrapper: execute one detection algorithm on one store with a
-wall-clock budget, recording runtime, search effort and result sizes."""
+"""Single-run wrapper: build a store, run one detection algorithm on it with
+a wall-clock budget, and record runtime, search effort and result sizes."""
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
-from repro.core import global_bounds, iter_td, prop_bounds
+from repro.core import global_bounds, prop_bounds
 from repro.core.bounds import GlobalSpec, PropSpec
-from repro.core.result import SearchTimeout
+from repro.core.itertd import iter_td
+from repro.core.result import SearchStats, SearchTimeout
 from repro.core.store import BaseStatsStore
 
 #: (problem, algorithm-name) → callable. "baseline" is ITERTD for both
 #: problems; "optimized" is GLOBALBOUNDS / PROPBOUNDS respectively.
 ALGORITHMS = {
     ("global", "baseline"): iter_td,
-    ("global", "optimized"): global_bounds,
+    ("global", "optimized"): global_bounds.global_bounds,
     ("prop", "baseline"): iter_td,
-    ("prop", "optimized"): prop_bounds,
+    ("prop", "optimized"): prop_bounds.prop_bounds,
 }
 
 
@@ -25,10 +27,11 @@ class RunOutcome:
     """Measured outcome of one run (``timed_out`` runs carry partial
     effort counters and no result).
 
-    ``time_s`` is end to end; ``agg_s`` is the share spent in store
-    aggregations (the counting substrate, identical for every algorithm on
-    the same inputs); ``search_s = time_s − agg_s`` is the algorithmic cost
-    the paper's figures compare.
+    ``time_s`` is end to end, store construction included; ``agg_s`` is
+    the share spent building the store and in its aggregations (the
+    counting substrate, identical for every algorithm on the same inputs);
+    ``search_s = time_s − agg_s`` is the algorithmic cost the paper's
+    figures compare.
     """
 
     problem: str
@@ -46,7 +49,7 @@ class RunOutcome:
 
 
 def run_algorithm(
-    store: BaseStatsStore,
+    store_factory: Callable[[], BaseStatsStore],
     problem: str,
     algo: str,
     spec: GlobalSpec | PropSpec,
@@ -55,32 +58,32 @@ def run_algorithm(
     k_max: int,
     timeout_s: float | None = None,
 ) -> RunOutcome:
-    """Run one algorithm end to end; a deadline overrun returns a
-    ``timed_out`` outcome instead of raising (matching the paper's
-    10-minute-timeout sweeps where slow points are reported as such)."""
+    """Build a store with ``store_factory`` and run one algorithm on it, end
+    to end: ``time_s`` and the deadline cover store construction too. A
+    deadline overrun returns a ``timed_out`` outcome instead of raising
+    (matching the paper's 10-minute-timeout sweeps where slow points are
+    reported as such)."""
     fn = ALGORITHMS[(problem, algo)]
-    agg_before = store.agg_seconds
     start = time.monotonic()
     deadline = None if timeout_s is None else start + timeout_s
+    store = store_factory()
+    build_s = time.monotonic() - start
     try:
+        # Construction may already have used up the budget.
+        SearchStats(deadline=deadline).check_deadline()
         result = fn(store, spec, tau, k_min, k_max, deadline=deadline)
     except SearchTimeout:
-        return RunOutcome(
-            problem=problem,
-            algo=algo,
-            time_s=time.monotonic() - start,
-            examined=-1,
-            timed_out=True,
-            agg_s=store.agg_seconds - agg_before,
-        )
-    elapsed = time.monotonic() - start
-    return RunOutcome(
+        result = None
+    out = RunOutcome(
         problem=problem,
         algo=algo,
-        time_s=elapsed,
-        examined=result.stats.examined,
-        timed_out=False,
-        agg_s=store.agg_seconds - agg_before,
-        res=result.res,
-        groups_per_k={k: len(v) for k, v in result.res.items()},
+        time_s=time.monotonic() - start,
+        examined=-1,
+        timed_out=result is None,
+        agg_s=build_s + store.agg_seconds,
     )
+    if result is not None:
+        out.examined = result.stats.examined
+        out.res = result.res
+        out.groups_per_k = {k: len(v) for k, v in result.res.items()}
+    return out

@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core import global_bounds
+from repro.core.global_bounds import global_bounds
 from repro.core.bounds import paper_default_global
 from repro.core.pattern import Pattern, pattern_to_str
 from repro.datasets.base import RankedDataset

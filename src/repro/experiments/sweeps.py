@@ -1,15 +1,17 @@
 """Parameter sweeps behind the paper's Figures 4–9 and the in-text
 patterns-examined / result-size statistics.
 
-Each sweep point builds a *fresh* store per algorithm, so the measured time
-is end to end (Spark aggregations included) for baseline and optimized
-alike — the paper measures complete runs the same way. ``store_factory``
-selects the substrate: ``RankedDataset.spark_store`` for the real
-experiments, ``RankedDataset.pandas_store`` for fast smoke tests.
+Each sweep point builds a *fresh* store per algorithm inside the timed
+run, so the measured time is end to end (store construction and Spark
+aggregations included) for baseline and optimized alike — the paper
+measures complete runs the same way. ``store_factory`` selects the
+substrate: ``RankedDataset.spark_store`` for the real experiments,
+``RankedDataset.pandas_store`` for fast smoke tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.core.bounds import GlobalSpec, PropSpec, paper_default_global
@@ -50,13 +52,13 @@ def _point(
     k_max: int,
     timeout_s: float | None,
 ) -> dict[str, RunOutcome]:
-    out = {}
-    for algo in _ALGOS:
-        store = store_factory(ds)
-        out[algo] = run_algorithm(
-            store, problem, algo, spec, tau, k_min, k_max, timeout_s
+    return {
+        algo: run_algorithm(
+            partial(store_factory, ds), problem, algo, spec, tau, k_min,
+            k_max, timeout_s,
         )
-    return out
+        for algo in _ALGOS
+    }
 
 
 def sweep_num_attrs(

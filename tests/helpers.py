@@ -6,7 +6,6 @@ import numpy as np
 import pandas as pd
 
 from repro.core.bounds import GlobalSpec
-from repro.core.store import PandasStatsStore
 from repro.datasets.base import RankedDataset
 
 
@@ -56,7 +55,3 @@ def random_params(seed: int, n: int) -> dict:
         "global_spec": GlobalSpec(steps),
         "alpha": float(rng.uniform(0.3, 1.5)),
     }
-
-
-def store_of(ds: RankedDataset) -> PandasStatsStore:
-    return ds.pandas_store()

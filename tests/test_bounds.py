@@ -1,7 +1,10 @@
 """Unit tests for bound specs and the k̃ computation (Section IV-C)."""
 import pytest
 
-from repro.core import brute_force, global_bounds, iter_td, prop_bounds
+from repro.core import iter_td
+from repro.core.brute_force import brute_force
+from repro.core.global_bounds import global_bounds
+from repro.core.prop_bounds import prop_bounds
 from repro.core.bounds import GlobalSpec, PropSpec, k_tilde, paper_default_global
 
 

@@ -81,7 +81,8 @@ def test_detected_groups_are_frequent_subgroups(student_ds):
     """§VI-D containment: every pattern our PROPBOUNDS finds (4 attrs,
     τ_s=50, k=10, α=0.8) appears among [27]'s frequent subgroups with
     negative divergence."""
-    from repro.core import PropSpec, prop_bounds
+    from repro.core import PropSpec
+    from repro.core.prop_bounds import prop_bounds
 
     view = student_ds.with_attrs(4)
     store = view.pandas_store()

@@ -2,9 +2,11 @@
 reference on randomized datasets, bounds and parameters (Proposition 4.5)."""
 import pytest
 
-from repro.core import brute_force, global_bounds, iter_td
+from repro.core import iter_td
+from repro.core.brute_force import brute_force
+from repro.core.global_bounds import global_bounds
 from repro.core.bounds import GlobalSpec
-from tests.helpers import make_random_ranked, random_params, store_of
+from tests.helpers import make_random_ranked, random_params
 
 SEEDS = list(range(40))
 
@@ -13,7 +15,7 @@ SEEDS = list(range(40))
 def test_global_algorithms_match_brute_force(seed):
     ds = make_random_ranked(seed)
     params = random_params(seed, ds.n)
-    store = store_of(ds)
+    store = ds.pandas_store()
     spec = params["global_spec"]
     args = (store, spec, params["tau"], params["k_min"], params["k_max"])
     bf = brute_force(*args).res
@@ -28,7 +30,7 @@ def test_global_constant_bound_no_restarts(seed):
     """With a constant L the optimized algorithm never restarts — the pure
     incremental path must still match brute force."""
     ds = make_random_ranked(seed)
-    store = store_of(ds)
+    store = ds.pandas_store()
     k_min, k_max = 3, min(ds.n, 20)
     spec = GlobalSpec({k_min: 2})
     for tau in (1, 5):
@@ -41,7 +43,7 @@ def test_global_bound_increases_every_step(seed):
     """L_k rising at every k forces a full restart per step — results must
     equal ITERTD exactly (degenerate path of Algorithm 2)."""
     ds = make_random_ranked(seed)
-    store = store_of(ds)
+    store = ds.pandas_store()
     k_min, k_max = 3, min(ds.n, 14)
     spec = GlobalSpec({k: max(1, k - 2) for k in range(k_min, k_max + 1)})
     args = (store, spec, 2, k_min, k_max)

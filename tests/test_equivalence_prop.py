@@ -3,9 +3,11 @@ reference under proportional bounds (Proposition 4.8), with the internal
 invariants of the incremental state checked at every k."""
 import pytest
 
-from repro.core import brute_force, iter_td, prop_bounds
+from repro.core import iter_td
+from repro.core.brute_force import brute_force
+from repro.core.prop_bounds import prop_bounds
 from repro.core.bounds import PropSpec
-from tests.helpers import make_random_ranked, random_params, store_of
+from tests.helpers import make_random_ranked, random_params
 
 SEEDS = list(range(40))
 
@@ -14,7 +16,7 @@ SEEDS = list(range(40))
 def test_prop_algorithms_match_brute_force(seed):
     ds = make_random_ranked(seed)
     params = random_params(seed, ds.n)
-    store = store_of(ds)
+    store = ds.pandas_store()
     spec = PropSpec(params["alpha"])
     args = (store, spec, params["tau"], params["k_min"], params["k_max"])
     bf = brute_force(*args).res
@@ -36,7 +38,7 @@ def test_prop_alpha_sweep_on_paper_example(paper_ds, alpha):
 def test_prop_full_range(seed):
     """k from 1 to n: every tuple insertion is exercised."""
     ds = make_random_ranked(seed, n_min=15, n_max=40)
-    store = store_of(ds)
+    store = ds.pandas_store()
     spec = PropSpec(0.8)
     args = (store, spec, 2, 1, ds.n)
     assert prop_bounds(*args, _debug_invariants=True).res == brute_force(*args).res

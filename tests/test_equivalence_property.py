@@ -5,15 +5,10 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    GlobalSpec,
-    PandasStatsStore,
-    PropSpec,
-    brute_force,
-    global_bounds,
-    iter_td,
-    prop_bounds,
-)
+from repro.core import GlobalSpec, PandasStatsStore, PropSpec, iter_td
+from repro.core.brute_force import brute_force
+from repro.core.global_bounds import global_bounds
+from repro.core.prop_bounds import prop_bounds
 
 
 @st.composite

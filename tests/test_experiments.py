@@ -1,4 +1,6 @@
 """Tests for the experiment harness (runner, sweeps, tables)."""
+import time
+
 import pytest
 
 from repro.core.bounds import GlobalSpec
@@ -15,10 +17,6 @@ from repro.experiments.sweeps import Defaults, examined_gain
 from repro.datasets.base import RankedDataset
 
 
-def _pandas_factory(ds: RankedDataset):
-    return ds.pandas_store()
-
-
 SMALL = Defaults(tau=3, k_min=3, k_max=10, alpha=0.8)
 
 
@@ -27,7 +25,7 @@ class TestRunner:
         spec = GlobalSpec({3: 2})
         runs = {
             a: run_algorithm(
-                paper_ds.pandas_store(), "global", a, spec, 3, 3, 10
+                paper_ds.pandas_store, "global", a, spec, 3, 3, 10
             )
             for a in ("baseline", "optimized")
         }
@@ -39,20 +37,37 @@ class TestRunner:
     def test_timeout_marks_outcome(self, paper_ds):
         from repro.datasets.hardness import hardness_construction
 
-        store = hardness_construction(14).pandas_store()
         out = run_algorithm(
-            store, "global", "baseline", GlobalSpec({14: 8}), 1, 14, 14,
-            timeout_s=0.0,
+            hardness_construction(14).pandas_store, "global", "baseline",
+            GlobalSpec({14: 8}), 1, 14, 14, timeout_s=0.0,
         )
         assert out.timed_out
         assert out.res is None
+
+    def test_deadline_covers_store_construction(self, paper_ds):
+        """A store that takes longer to build than the whole budget times
+        the run out, and its construction is part of ``time_s``."""
+        sleep_s = 0.2
+
+        def slow_factory():
+            time.sleep(sleep_s)
+            return paper_ds.pandas_store()
+
+        out = run_algorithm(
+            slow_factory, "global", "baseline", GlobalSpec({3: 2}), 3, 3, 10,
+            timeout_s=sleep_s / 2,
+        )
+        assert out.timed_out
+        assert out.res is None
+        assert out.time_s >= sleep_s
 
 
 class TestSweeps:
     @pytest.mark.parametrize("problem", ["global", "prop"])
     def test_sweep_num_attrs(self, paper_ds, problem):
         rows = sweep_num_attrs(
-            paper_ds, problem, [2, 3, 4], _pandas_factory, SMALL, None
+            paper_ds, problem, [2, 3, 4],
+            RankedDataset.pandas_store, SMALL, None
         )
         assert [r["n_attrs"] for r in rows] == [2, 3, 4]
         for r in rows:
@@ -61,7 +76,8 @@ class TestSweeps:
     @pytest.mark.parametrize("problem", ["global", "prop"])
     def test_sweep_tau(self, paper_ds, problem):
         rows = sweep_tau(
-            paper_ds, problem, [2, 4, 8], _pandas_factory, SMALL, None
+            paper_ds, problem, [2, 4, 8],
+            RankedDataset.pandas_store, SMALL, None
         )
         for r in rows:
             assert r["baseline"].res == r["optimized"].res
@@ -73,7 +89,8 @@ class TestSweeps:
     @pytest.mark.parametrize("problem", ["global", "prop"])
     def test_sweep_krange(self, paper_ds, problem):
         rows = sweep_krange(
-            paper_ds, problem, [8, 12, 16], _pandas_factory, SMALL, None
+            paper_ds, problem, [8, 12, 16],
+            RankedDataset.pandas_store, SMALL, None
         )
         for r in rows:
             assert r["baseline"].res == r["optimized"].res
@@ -95,9 +112,9 @@ class TestSweeps:
         patterns (paper §VI-B)."""
         view = request.getfixturevalue(dataset).with_attrs(8)
         rows = sweep_tau(
-            view, problem, taus, _pandas_factory, timeout_s=None
+            view, problem, taus, RankedDataset.pandas_store, timeout_s=None
         ) + sweep_krange(
-            view, problem, k_maxes, _pandas_factory, timeout_s=None
+            view, problem, k_maxes, RankedDataset.pandas_store, timeout_s=None
         )
         for r in rows:
             assert r["optimized"].res == r["baseline"].res
@@ -105,14 +122,14 @@ class TestSweeps:
 
     def test_examined_gain_positive_on_wide_range(self, paper_ds):
         rows = sweep_krange(
-            paper_ds, "global", [16], _pandas_factory, SMALL, None
+            paper_ds, "global", [16], RankedDataset.pandas_store, SMALL, None
         )
         gain = examined_gain(rows[0])
         assert gain is not None and 0 < gain < 1
 
     def test_result_size_census(self, paper_ds):
         rows = sweep_tau(
-            paper_ds, "global", [2, 4], _pandas_factory, SMALL, None
+            paper_ds, "global", [2, 4], RankedDataset.pandas_store, SMALL, None
         )
         census = result_size_census(rows)
         assert census["result_sets"] > 0
@@ -123,7 +140,9 @@ class TestSweeps:
 
 class TestTables:
     def test_format_rows_markdown(self, paper_ds):
-        rows = sweep_tau(paper_ds, "global", [2], _pandas_factory, SMALL, None)
+        rows = sweep_tau(
+            paper_ds, "global", [2], RankedDataset.pandas_store, SMALL, None
+        )
         md = format_rows(rows, "tau")
         assert md.startswith("| tau |")
         assert "| 2 |" in md

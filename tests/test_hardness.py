@@ -6,7 +6,10 @@ from math import comb
 
 import pytest
 
-from repro.core import GlobalSpec, PropSpec, brute_force, global_bounds, iter_td, prop_bounds
+from repro.core import GlobalSpec, PropSpec, iter_td
+from repro.core.brute_force import brute_force
+from repro.core.global_bounds import global_bounds
+from repro.core.prop_bounds import prop_bounds
 from repro.datasets.hardness import hardness_construction
 
 

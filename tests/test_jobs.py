@@ -6,16 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.datasets.base import RankedDataset
 from repro.experiments import DEFAULTS, sweep_krange, sweep_tau
 from repro.experiments.sweeps import examined_gain
 
 JOBS_DIR = str(Path(__file__).resolve().parent.parent / "jobs")
 if JOBS_DIR not in sys.path:
     sys.path.insert(0, JOBS_DIR)
-
-
-def _pandas_store(ds):
-    return ds.pandas_store()
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +91,12 @@ def test_t7_gains_equal_direct_krange_runs(german_ds):
     tau_rows, krange_rows = {}, {}
     for problem in ("global", "prop"):
         tau_rows[problem] = {"german": sweep_tau(
-            view, problem, [20, DEFAULTS.tau], _pandas_store, timeout_s=None
+            view, problem, [20, DEFAULTS.tau],
+            RankedDataset.pandas_store, timeout_s=None
         )}
         krange_rows[problem] = {"german": sweep_krange(
-            view, problem, [20, wide], _pandas_store, timeout_s=None
+            view, problem, [20, wide],
+            RankedDataset.pandas_store, timeout_s=None
         )}
     gains = main(
         tau_rows["global"], tau_rows["prop"],
@@ -106,7 +105,8 @@ def test_t7_gains_equal_direct_krange_runs(german_ds):
     for problem in ("global", "prop"):
         for k_max in (DEFAULTS.k_max, wide):
             direct = sweep_krange(
-                view, problem, [k_max], _pandas_store, timeout_s=None
+                view, problem, [k_max],
+                RankedDataset.pandas_store, timeout_s=None
             )[0]
             assert gains[("german", problem, k_max)] == examined_gain(direct)
 

@@ -6,13 +6,13 @@ from repro.core import (
     EMPTY,
     GlobalSpec,
     PropSpec,
-    brute_force,
     children,
-    global_bounds,
     iter_td,
     k_tilde,
-    prop_bounds,
 )
+from repro.core.brute_force import brute_force
+from repro.core.global_bounds import global_bounds
+from repro.core.prop_bounds import prop_bounds
 from repro.core.topdown import top_down_search
 from repro.core.result import SearchStats
 

@@ -94,3 +94,10 @@ class TestStoreBasics:
         pdf = pd.DataFrame({"A": [1, 1, 2], "rank": [1, 2, 3]})
         s = PandasStatsStore(pdf, ["A"])
         assert s.stat(((0, "1"),)).size == 2
+
+
+@pytest.mark.parametrize("ranks", [[1, 3], [1, 1], [0, 1]])
+def test_rank_column_must_be_1_to_n(ranks):
+    pdf = pd.DataFrame({"A": ["x", "y"], "rank": ranks})
+    with pytest.raises(ValueError, match="1..n"):
+        PandasStatsStore(pdf, ["A"])

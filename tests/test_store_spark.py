@@ -4,7 +4,9 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.pattern import EMPTY
 from repro.core.store import PandasStatsStore, SparkStatsStore
+from repro.core.topdown import child_attr_sets
 from repro.oracle import assert_equivalent
 
 
@@ -81,6 +83,21 @@ def test_spark_store_on_synthetic_dataset(student_ds):
     assert ss.domains == ps.domains
 
 
+def test_construction_runs_no_aggregation(paper_ds_spark):
+    """``n``, ``domains`` and ``row_at_rank`` come from the rows collected
+    at construction, so the root's children sets are still uncached and
+    fill in one batched aggregation."""
+    ss = paper_ds_spark.spark_store()
+    assert ss.n == 16
+    assert ss.domains == [
+        ["F", "M"], ["GP", "MS"], ["R", "U"], ["0", "1", "2"]
+    ]
+    assert ss.row_at_rank(1) == ("F", "GP", "U", "0")
+    assert ss.jobs == 0
+    ss.prefetch(child_attr_sets(EMPTY, len(ss.domains)))
+    assert ss.jobs == 1
+
+
 def test_jobs_counter_tracks_cache_misses(paper_ds_spark):
     ss = paper_ds_spark.spark_store()
     assert ss.jobs == 0
@@ -149,3 +166,10 @@ def test_null_is_one_value_in_both_stores(spark):
     for k in range(1, 5):
         assert ps.row_at_rank(k) == ss.row_at_rank(k)
     ss.unpersist()
+
+
+@pytest.mark.parametrize("ranks", [[1, 3], [1, 1], [0, 1]])
+def test_rank_column_must_be_1_to_n(spark, ranks):
+    df = spark.createDataFrame(pd.DataFrame({"A": ["x", "y"], "rank": ranks}))
+    with pytest.raises(ValueError, match="1..n"):
+        SparkStatsStore(df, ["A"])
