@@ -2,8 +2,9 @@
 
 Each ``jobs/t*.py`` reproduces one evaluation table (see DESIGN.md §5),
 prints its rows as markdown, and exits. All jobs accept ``--fast`` to run a
-reduced grid (used by the smoke tests) and ``--timeout SECONDS`` for the
-per-run deadline (the paper used a 10-minute timeout).
+reduced grid (used by the smoke tests); the detection sweeps (T1–T7, T11)
+also accept ``--timeout SECONDS`` for the per-run deadline (the paper used a
+10-minute timeout). T8–T10 run no deadline and take no ``--timeout``.
 """
 from __future__ import annotations
 
@@ -29,10 +30,12 @@ def get_spark(app: str) -> SparkSession:
     return s
 
 
-def parse_args(description: str) -> argparse.Namespace:
+def parse_args(description: str, timeout: bool = True) -> argparse.Namespace:
+    """``--fast``, and ``--timeout`` for a job with a per-run deadline."""
     ap = argparse.ArgumentParser(description=description)
     ap.add_argument("--fast", action="store_true", help="reduced grid")
-    ap.add_argument("--timeout", type=float, default=120.0)
+    if timeout:
+        ap.add_argument("--timeout", type=float, default=120.0)
     return ap.parse_args()
 
 

@@ -1,7 +1,8 @@
 """Orchestrator: run every table job once (T1–T11) and print all tables.
 
-T7 and T11 are read off the sweep rows T3–T6 return; they run no detection
-of their own. Output (stdout) is the source for EXPERIMENTS.md.
+T7 and T11 are read off the sweep rows T3–T6 return, and T9 off the
+Shapley analyses T8 returns; they compute nothing of their own. Output
+(stdout) is the source for EXPERIMENTS.md.
 
 Usage: spark-submit jobs/run_all.py [--fast] [--timeout S]
 """
@@ -46,9 +47,9 @@ def main(spark=None, fast: bool = False, timeout: float = 60.0) -> None:
     stamp("T7")
     t7_patterns_examined.main(t3, t4, t5, t6)
     stamp("T8")
-    t8_shapley.main(spark, fast)
+    t8 = t8_shapley.main(spark, fast)
     stamp("T9")
-    t9_distributions.main(spark, fast)
+    t9_distributions.main(t8)
     stamp("T10")
     t10_case_study.main(spark, fast)
     stamp("T11")

@@ -22,7 +22,7 @@ K = 10
 TAU = 50
 
 
-def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
+def main(spark=None, fast: bool = False) -> dict:
     spark = spark or get_spark("t10_case_study")
     ds = load_datasets(spark, fast)["student"]
     tau = max(2, int(TAU * ds.n / 395))
@@ -77,5 +77,5 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
 
 
 if __name__ == "__main__":
-    args = parse_args(__doc__)
+    args = parse_args(__doc__, timeout=False)
     main(fast=args.fast)

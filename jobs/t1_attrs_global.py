@@ -1,4 +1,5 @@
 """T1 (paper Fig. 4): runtime vs number of attributes, global bounds.
+T2 is this driver with ``problem="prop"``.
 
 Usage: spark-submit jobs/t1_attrs_global.py [--fast] [--timeout S]
 """
@@ -14,21 +15,22 @@ ATTR_GRIDS = {
     "german": [3, 6, 9, 12, 15, 20],
 }
 FAST_GRID = [3, 4]
+TITLES = {"global": "T1 global bounds", "prop": "T2 proportional"}
 
 
-def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
-    spark = spark or get_spark("t1_attrs_global")
+def main(spark=None, fast: bool = False, timeout: float = 120.0, problem: str = "global") -> dict:
+    spark = spark or get_spark(f"t_attrs_{problem}")
     out = {}
     for name, ds in load_datasets(spark, fast).items():
         grid = FAST_GRID if fast else ATTR_GRIDS[name]
         rows = sweep_num_attrs(
-            ds, "global", grid, RankedDataset.spark_store, timeout_s=timeout
+            ds, problem, grid, RankedDataset.spark_store, timeout_s=timeout
         )
         out[name] = rows
-        emit(f"T1 global bounds — {name}", format_rows(rows, "n_attrs"))
+        emit(f"{TITLES[problem]} — {name}", format_rows(rows, "n_attrs"))
     return out
 
 
 if __name__ == "__main__":
     args = parse_args(__doc__)
-    main(fast=args.fast, timeout=args.timeout)
+    main(fast=args.fast, timeout=args.timeout, problem="global")

@@ -1,5 +1,6 @@
 """T8 (paper Fig. 10a–c): aggregated Shapley values of a detected group,
-per dataset — the six attributes with the largest magnitudes.
+per dataset — the six attributes with the largest magnitudes. T9 is read
+off the analyses this job returns.
 
 Usage: spark-submit jobs/t8_shapley.py [--fast]
 """
@@ -9,7 +10,8 @@ from _common import emit, get_spark, load_datasets, parse_args
 from repro.experiments.shapley_exp import shapley_analysis
 
 
-def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
+def main(spark=None, fast: bool = False) -> dict:
+    """Returns ``{dataset: ShapleyAnalysis}``."""
     spark = spark or get_spark("t8_shapley")
     out = {}
     n_samples = 8 if fast else 32
@@ -31,5 +33,5 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
 
 
 if __name__ == "__main__":
-    args = parse_args(__doc__)
+    args = parse_args(__doc__, timeout=False)
     main(fast=args.fast)

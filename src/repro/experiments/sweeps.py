@@ -141,9 +141,9 @@ def examined_gain(point: dict[str, RunOutcome]) -> float | None:
     return 1.0 - opt.examined / base.examined
 
 
-def result_size_census(rows: list[dict], threshold: int = 100) -> dict:
-    """Fraction of (run, k) result sets with fewer than ``threshold``
-    groups — the paper's in-text 97.58% statistic (Section III)."""
+def result_size_census(rows: list[dict]) -> dict:
+    """Fraction of (run, k) result sets with fewer than 100 groups — the
+    paper's in-text 97.58% statistic (Section III)."""
     total = below = 0
     for row in rows:
         for algo in _ALGOS:
@@ -152,7 +152,7 @@ def result_size_census(rows: list[dict], threshold: int = 100) -> dict:
                 continue
             for count in out.groups_per_k.values():
                 total += 1
-                below += count < threshold
+                below += count < 100
     return {
         "result_sets": total,
         "below_threshold": below,

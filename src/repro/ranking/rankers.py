@@ -20,7 +20,6 @@ def add_rank(
     score_col: str,
     tiebreak_cols: Sequence[str] = (),
     rank_col: str = "rank",
-    descending: bool = True,
 ) -> DataFrame:
     """Attach ``rank`` = position by ``score_col`` (best first).
 
@@ -29,9 +28,7 @@ def add_rank(
     order if still tied — callers wanting full determinism include a unique
     id in ``tiebreak_cols``.
     """
-    order = [F.desc(score_col) if descending else F.asc(score_col)]
-    order += [F.asc(c) for c in tiebreak_cols]
-    w = Window.orderBy(*order)
+    w = Window.orderBy(F.desc(score_col), *[F.asc(c) for c in tiebreak_cols])
     return df.withColumn(rank_col, F.row_number().over(w))
 
 

@@ -42,18 +42,18 @@ class RegressionTree:
 
 
 def _best_split(
-    X: np.ndarray, y: np.ndarray, feats: np.ndarray, min_leaf: int
+    X: np.ndarray, y: np.ndarray, min_leaf: int
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold) by weighted-variance reduction, or None.
 
-    For each candidate feature the samples are sorted once; prefix sums of
-    y and y² give the left/right SSE at every split point in O(n).
+    For each feature the samples are sorted once; prefix sums of y and y²
+    give the left/right SSE at every split point in O(n).
     """
     n = len(y)
     total_sse = ((y - y.mean()) ** 2).sum()
     best = None
     best_gain = 1e-12
-    for f in feats:
+    for f in range(X.shape[1]):
         order = np.argsort(X[:, f], kind="stable")
         xs, ys = X[order, f], y[order]
         csum = np.cumsum(ys)
@@ -75,7 +75,7 @@ def _best_split(
         i = int(np.argmax(gain))
         if gain[i] > best_gain:
             best_gain = float(gain[i])
-            best = (int(f), float((xs[i] + xs[i + 1]) / 2.0), best_gain)
+            best = (f, float((xs[i] + xs[i + 1]) / 2.0), best_gain)
     return best
 
 
@@ -84,13 +84,9 @@ def fit_tree(
     y: np.ndarray,
     max_depth: int = 8,
     min_leaf: int = 5,
-    feature_frac: float = 1.0,
-    rng: np.random.Generator | None = None,
 ) -> RegressionTree:
-    """Fit one CART regression tree by recursive variance reduction."""
-    rng = rng or np.random.default_rng(0)
-    m = X.shape[1]
-    n_feats = max(1, int(round(feature_frac * m)))
+    """Fit one CART regression tree by recursive variance reduction over
+    every feature."""
     feature, threshold, left, right, value = [], [], [], [], []
 
     def build(idx: np.ndarray, depth: int) -> int:
@@ -102,12 +98,7 @@ def fit_tree(
         value.append(float(y[idx].mean()))
         if depth >= max_depth or len(idx) < 2 * min_leaf:
             return node
-        feats = (
-            np.arange(m)
-            if n_feats == m
-            else rng.choice(m, size=n_feats, replace=False)
-        )
-        split = _best_split(X[idx], y[idx], feats, min_leaf)
+        split = _best_split(X[idx], y[idx], min_leaf)
         if split is None:
             return node
         f, thr, _ = split
@@ -135,7 +126,6 @@ class RegressionForest:
     n_trees: int = 10
     max_depth: int = 9
     min_leaf: int = 4
-    feature_frac: float = 1.0
     seed: int = 0
     trees: list[RegressionTree] = field(default_factory=list)
 
@@ -148,10 +138,7 @@ class RegressionForest:
         for _ in range(self.n_trees):
             idx = rng.integers(0, n, n)  # bootstrap sample
             self.trees.append(
-                fit_tree(
-                    X[idx], y[idx], self.max_depth, self.min_leaf,
-                    self.feature_frac, rng,
-                )
+                fit_tree(X[idx], y[idx], self.max_depth, self.min_leaf)
             )
         return self
 

@@ -1,6 +1,7 @@
 """Smoke tests: every jobs/t*.py entrypoint runs end to end in --fast mode
-on the session SparkSession and returns structured results. T3–T6 run once,
-in a module fixture; T7 and T11 are computed from their rows."""
+on the session SparkSession and returns structured results. T3–T6 and T8
+run once, in module fixtures; T7 and T11 are computed from the T3–T6 rows,
+T9 from T8's analyses."""
 import sys
 from pathlib import Path
 
@@ -111,23 +112,47 @@ def test_t7_gains_equal_direct_krange_runs(german_ds):
             assert gains[("german", problem, k_max)] == examined_gain(direct)
 
 
-def test_t8_shapley(spark):
+@pytest.fixture(scope="module")
+def t8(spark):
+    """The T8 output, run once: T9 is read off these analyses."""
     from t8_shapley import main
 
-    out = main(spark, fast=True)
-    assert set(out) == {"student", "compas", "german"}
-    for a in out.values():
+    return main(spark, fast=True)
+
+
+def test_t8_shapley(t8):
+    assert set(t8) == {"student", "compas", "german"}
+    for a in t8.values():
         assert len(a.top6) == 6
         assert a.group_size > 0
 
 
-def test_t9_distributions(spark):
+def test_t9_distributions(t8):
     from t9_distributions import main
 
-    out = main(spark, fast=True)
+    out = main(t8)
     for a in out.values():
         assert 0.0 <= a.tv_distance <= 1.0
         assert a.distributions["topk_frac"].sum() == pytest.approx(1.0)
+
+
+def test_t9_prints_t8_output_without_analysis(t8, monkeypatch, capsys):
+    """T9 prints the distributions of the analyses it is given and runs no
+    Shapley analysis of its own."""
+    import t8_shapley
+    from repro.experiments import shapley_exp
+    from t9_distributions import main
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("T9 ran a Shapley analysis")
+
+    monkeypatch.setattr(shapley_exp, "shapley_analysis", no_analysis)
+    monkeypatch.setattr(t8_shapley, "shapley_analysis", no_analysis)
+    main(t8)
+    printed = capsys.readouterr().out
+    for name, a in t8.items():
+        assert f"T9 distributions — {name}" in printed
+        assert f"total-variation distance: {a.tv_distance:.3f}" in printed
 
 
 def test_t10_case_study(spark):

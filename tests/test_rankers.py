@@ -45,16 +45,6 @@ def test_rank_is_dense_permutation(spark):
     assert ranks == list(range(1, 51))
 
 
-def test_ascending_rank(spark):
-    pdf = pd.DataFrame({"id": [1, 2, 3], "score": [30.0, 10.0, 20.0]})
-    ranked = add_rank(
-        spark.createDataFrame(pdf), "score", tiebreak_cols=["id"],
-        descending=False,
-    )
-    out = {r["id"]: r["rank"] for r in ranked.collect()}
-    assert out == {2: 1, 3: 2, 1: 3}
-
-
 class TestNormalizedScore:
     def test_minmax_and_negation(self, spark):
         pdf = pd.DataFrame(
