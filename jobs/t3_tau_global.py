@@ -1,7 +1,7 @@
 """T3 (paper Fig. 6): runtime vs size threshold τ_s, global bounds.
 
-Attribute counts are capped per dataset (the paper likewise capped them at
-what the baseline could handle within its timeout).
+Attribute counts are capped at ``ATTR_CAP`` (the paper likewise capped
+them at what the baseline could handle within its timeout).
 
 Usage: spark-submit jobs/t3_tau_global.py [--fast] [--timeout S]
 """
@@ -10,19 +10,18 @@ from __future__ import annotations
 from _common import emit, get_spark, load_datasets, parse_args
 from repro.datasets.base import RankedDataset
 from repro.experiments import format_rows, sweep_tau
+from repro.experiments.sweeps import ATTR_CAP
 
 TAUS = [10, 25, 50, 75, 100]
 FAST_TAUS = [20, 50]
-ATTR_CAP = {"student": 10, "compas": 10, "german": 10}
 
 
 def main(spark=None, fast: bool = False, timeout: float = 120.0, problem: str = "global") -> dict:
     spark = spark or get_spark(f"t_tau_{problem}")
     out = {}
     for name, ds in load_datasets(spark, fast).items():
-        view = ds.with_attrs(min(ATTR_CAP[name], len(ds.pattern_attrs)))
         rows = sweep_tau(
-            view, problem, FAST_TAUS if fast else TAUS,
+            ds.with_attrs(ATTR_CAP), problem, FAST_TAUS if fast else TAUS,
             RankedDataset.spark_store, timeout_s=timeout,
         )
         out[name] = rows

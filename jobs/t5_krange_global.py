@@ -10,7 +10,7 @@ from __future__ import annotations
 from _common import emit, get_spark, load_datasets, parse_args
 from repro.datasets.base import RankedDataset
 from repro.experiments import format_rows, sweep_krange
-from t3_tau_global import ATTR_CAP
+from repro.experiments.sweeps import ATTR_CAP
 
 K_GRIDS = {
     "student": [50, 150, 250, 350],
@@ -24,11 +24,11 @@ def main(spark=None, fast: bool = False, timeout: float = 120.0, problem: str = 
     spark = spark or get_spark(f"t_krange_{problem}")
     out = {}
     for name, ds in load_datasets(spark, fast).items():
-        view = ds.with_attrs(min(ATTR_CAP[name], len(ds.pattern_attrs)))
         grid = FAST_GRID if fast else K_GRIDS[name]
         grid = [k for k in grid if k <= ds.n]
         rows = sweep_krange(
-            view, problem, grid, RankedDataset.spark_store, timeout_s=timeout
+            ds.with_attrs(ATTR_CAP), problem, grid, RankedDataset.spark_store,
+            timeout_s=timeout,
         )
         out[name] = rows
         emit(f"{problem} bounds, k-range sweep — {name}", format_rows(rows, "k_max"))

@@ -16,7 +16,6 @@ from repro.core.pattern import (  # noqa: F401
 from repro.core.bounds import (  # noqa: F401
     GlobalSpec,
     PropSpec,
-    k_tilde,
     paper_default_global,
 )
 from repro.core.topdown import top_down_search  # noqa: F401

@@ -4,9 +4,10 @@
   user-given stepwise lower bound ``L_k``. The paper's default is
   10/20/30/40 stepping at k = 20/30/40.
 * :class:`PropSpec` — Problem 3.2 (proportional representation): the bound
-  for a pattern ``p`` at position ``k`` is ``α · s_D(p) · k / |D|``.
-* :func:`k_tilde` — the minimal ``k`` at which a currently-passing pattern
-  becomes violating if its top-k count stays fixed (Section IV-C).
+  for a pattern ``p`` at position ``k`` is ``α · s_D(p) · k / |D|``. Its
+  :meth:`~PropSpec.k_tilde` is that inequality solved for ``k``: the minimal
+  ``k`` at which a currently-passing pattern becomes violating if its top-k
+  count stays fixed (Section IV-C).
 * :func:`check_params` — the parameter check every detection entry point
   runs first.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 
@@ -72,15 +72,6 @@ def paper_default_global() -> GlobalSpec:
     return GlobalSpec({10: 10, 20: 20, 30: 30, 40: 40})
 
 
-@lru_cache(maxsize=128)
-def _ratio(alpha: float) -> tuple[int, int]:
-    """``α`` as ``(numerator, denominator)`` of its decimal form."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    frac = Fraction(str(alpha))
-    return frac.numerator, frac.denominator
-
-
 @dataclass(frozen=True)
 class PropSpec:
     """Proportional lower bound of Problem 3.2: ``α · s_D(p) · k / |D|``."""
@@ -90,27 +81,27 @@ class PropSpec:
     _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        num, den = _ratio(self.alpha)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        frac = Fraction(str(self.alpha))
+        object.__setattr__(self, "_num", frac.numerator)
+        object.__setattr__(self, "_den", frac.denominator)
 
     def violates(self, c: int, size: int, k: int, n: int) -> bool:
         """True iff ``c < α · size · k / n`` (strict, as in Problem 3.2),
         evaluated exactly as ``c · n · den < num · size · k``."""
         return c * n * self._den < self._num * size * k
 
+    def k_tilde(self, c: int, size: int, n: int) -> int:
+        """Minimal ``k`` with ``c < α · size · k / n`` when ``c`` is held
+        fixed: ``⌊c·n·den / (num·size)⌋ + 1``, in integers.
 
-def k_tilde(c: int, size: int, alpha: float, n: int) -> int:
-    """Minimal ``k`` with ``c < α · size · k / n`` when ``c`` is held fixed:
-    ``⌊c·n·den / (num·size)⌋ + 1`` for ``α = num/den``, in integers.
-
-    Matches the paper's Example 4.7 (c=2, size=8, α=0.9, n=16 → k̃=5) and
-    Example 4.9 (c=3, size=6 → k̃=9).
-    """
-    if size <= 0:
-        raise ValueError(f"size must be positive, got {size}")
-    num, den = _ratio(alpha)
-    return c * n * den // (num * size) + 1
+        Matches the paper's Example 4.7 (c=2, size=8, α=0.9, n=16 → k̃=5)
+        and Example 4.9 (c=3, size=6 → k̃=9).
+        """
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
+        return c * n * self._den // (self._num * size) + 1
 
 
 def check_params(n: int, tau: int, k_min: int, k_max: int) -> None:

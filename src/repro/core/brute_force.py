@@ -29,9 +29,7 @@ def _all_substantial(
     n_attrs = len(store.attr_names)
     out: dict[Pattern, PatternStat] = {}
     for r in range(1, n_attrs + 1):
-        level = list(combinations(range(n_attrs), r))
-        store.prefetch(level)  # one batched aggregation per level
-        for attr_set in level:
+        for attr_set in combinations(range(n_attrs), r):
             for vals, stat in store.group(attr_set).items():
                 if stat.size >= tau:
                     out[tuple(zip(attr_set, vals))] = stat

@@ -36,7 +36,7 @@ subset; ``K`` holds the other generated patterns, each expanded.
 """
 from __future__ import annotations
 
-from repro.core.bounds import PropSpec, check_params, k_tilde
+from repro.core.bounds import PropSpec, check_params
 from repro.core.global_bounds import normalize_frontier
 from repro.core.pattern import (
     EMPTY,
@@ -94,7 +94,7 @@ class _PropState:
             self.res.discard(p)
             self.dres.discard(p)
             self.dirty = True
-        self.K[p] = k_tilde(c, st.size, self.spec.alpha, self.store.n)
+        self.K[p] = self.spec.k_tilde(c, st.size, self.store.n)
         if p not in self.children_of:
             self.expand(p, k, visited)
 

@@ -1,9 +1,9 @@
 """Single-run wrapper: build a store, run one detection algorithm on it with
-a wall-clock budget, and record runtime, search effort and result sizes."""
+a wall-clock budget, and record runtime, search effort and result sets."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core import global_bounds, prop_bounds
@@ -12,20 +12,18 @@ from repro.core.itertd import iter_td
 from repro.core.result import SearchStats, SearchTimeout
 from repro.core.store import BaseStatsStore
 
-#: (problem, algorithm-name) → callable. "baseline" is ITERTD for both
-#: problems; "optimized" is GLOBALBOUNDS / PROPBOUNDS respectively.
-ALGORITHMS = {
-    ("global", "baseline"): iter_td,
-    ("global", "optimized"): global_bounds.global_bounds,
-    ("prop", "baseline"): iter_td,
-    ("prop", "optimized"): prop_bounds.prop_bounds,
+#: The optimized algorithm of each problem, keyed by the type of its bound
+#: spec. The baseline is ITERTD for both.
+OPTIMIZED = {
+    GlobalSpec: global_bounds.global_bounds,
+    PropSpec: prop_bounds.prop_bounds,
 }
 
 
 @dataclass
 class RunOutcome:
-    """Measured outcome of one run (``timed_out`` runs carry partial
-    effort counters and no result).
+    """Measured outcome of one run. A timed-out run carries its times and
+    no search outcome: ``examined`` is −1 and ``res`` is None.
 
     ``time_s`` is end to end, store construction included; ``agg_s`` is
     the share spent building the store and in its aggregations (the
@@ -34,14 +32,14 @@ class RunOutcome:
     figures compare.
     """
 
-    problem: str
-    algo: str
     time_s: float
-    examined: int
-    timed_out: bool
-    agg_s: float = 0.0
+    agg_s: float
+    examined: int = -1
     res: dict[int, frozenset] | None = None
-    groups_per_k: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def timed_out(self) -> bool:
+        return self.res is None
 
     @property
     def search_s(self) -> float:
@@ -50,7 +48,6 @@ class RunOutcome:
 
 def run_algorithm(
     store_factory: Callable[[], BaseStatsStore],
-    problem: str,
     algo: str,
     spec: GlobalSpec | PropSpec,
     tau: int,
@@ -59,11 +56,12 @@ def run_algorithm(
     timeout_s: float | None = None,
 ) -> RunOutcome:
     """Build a store with ``store_factory`` and run one algorithm on it, end
-    to end: ``time_s`` and the deadline cover store construction too. A
-    deadline overrun returns a ``timed_out`` outcome instead of raising
-    (matching the paper's 10-minute-timeout sweeps where slow points are
-    reported as such)."""
-    fn = ALGORITHMS[(problem, algo)]
+    to end: ``time_s`` and the deadline cover store construction too.
+    ``algo`` is ``"baseline"`` (ITERTD) or ``"optimized"`` (the algorithm
+    ``OPTIMIZED`` gives for the spec). A deadline overrun returns a
+    timed-out outcome instead of raising (matching the paper's
+    10-minute-timeout sweeps where slow points are reported as such)."""
+    fn = {"baseline": iter_td, "optimized": OPTIMIZED[type(spec)]}[algo]
     start = time.monotonic()
     deadline = None if timeout_s is None else start + timeout_s
     store = store_factory()
@@ -74,16 +72,7 @@ def run_algorithm(
         result = fn(store, spec, tau, k_min, k_max, deadline=deadline)
     except SearchTimeout:
         result = None
-    out = RunOutcome(
-        problem=problem,
-        algo=algo,
-        time_s=time.monotonic() - start,
-        examined=-1,
-        timed_out=result is None,
-        agg_s=build_s + store.agg_seconds,
-    )
+    out = RunOutcome(time.monotonic() - start, build_s + store.agg_seconds)
     if result is not None:
-        out.examined = result.stats.examined
-        out.res = result.res
-        out.groups_per_k = {k: len(v) for k, v in result.res.items()}
+        out.examined, out.res = result.stats.examined, result.res
     return out

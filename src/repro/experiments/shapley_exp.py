@@ -2,7 +2,7 @@
 and T9 (Fig. 10d–f value distributions, read off T8's analyses).
 
 For each dataset: detect groups with GLOBALBOUNDS at the paper's default
-bounds and range of k over the first ``DETECT_ATTRS`` attributes, pick the
+bounds and range of k over the first ``ATTR_CAP`` attributes, pick the
 detected group analogous to the paper's example (mother's education for
 Student, the age bucket for COMPAS, account status for German Credit —
 falling back to the largest detected group), train the CART-forest ranker
@@ -22,7 +22,7 @@ from repro.core.bounds import paper_default_global
 from repro.core.pattern import Pattern, pattern_to_str
 from repro.core.store import BaseStatsStore
 from repro.datasets.base import RankedDataset
-from repro.experiments.sweeps import DEFAULTS
+from repro.experiments.sweeps import ATTR_CAP, DEFAULTS
 from repro.shapley import (
     RegressionForest,
     encode_features,
@@ -44,9 +44,7 @@ PREFERRED_ATTR = {
 #: stable well below this cap).
 MAX_GROUP_TUPLES = 600
 
-#: Detection attributes (the first ones, as the T3–T6 sweeps cap them) and
-#: the seed of the surrogate forest, the subsamples and the Shapley draws.
-DETECT_ATTRS = 10
+#: The seed of the surrogate forest, the subsamples and the Shapley draws.
 SEED = 0
 
 
@@ -67,15 +65,19 @@ class ShapleyAnalysis:
 def pick_group(
     store: BaseStatsStore, res_k: frozenset, dataset: str
 ) -> Pattern:
-    """The detected group to explain: prefer a singleton over the paper's
-    attribute, else the largest detected group (sizes from ``store``, the
-    detection's own store)."""
-    preferred = PREFERRED_ATTR.get(dataset)
+    """The detected group to explain, in an order that does not depend on
+    how ``res_k`` iterates: the smallest singleton over the paper's
+    attribute, else the largest singleton, else the largest group; ties
+    go to the pattern that sorts first. Sizes come from the detection's
+    ``store``."""
     singles = [p for p in res_k if len(p) == 1]
-    for p in singles:
-        if store.attr_names[p[0][0]] == preferred:
-            return p
-    return max(singles or list(res_k), key=store.size)
+    preferred = [
+        p for p in singles
+        if store.attr_names[p[0][0]] == PREFERRED_ATTR.get(dataset)
+    ]
+    if preferred:
+        return min(preferred, key=lambda p: (store.size(p), p))
+    return min(singles or res_k, key=lambda p: (-store.size(p), p))
 
 
 def shapley_analysis(
@@ -86,7 +88,7 @@ def shapley_analysis(
 ) -> ShapleyAnalysis:
     """Run detection + Shapley explanation for one dataset."""
     k = DEFAULTS.k_max
-    view = ds.with_attrs(min(DETECT_ATTRS, len(ds.pattern_attrs)))
+    view = ds.with_attrs(ATTR_CAP)
     store = view.pandas_store()
     spec = paper_default_global()
     res = global_bounds(store, spec, tau, DEFAULTS.k_min, k).res[k]

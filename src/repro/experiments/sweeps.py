@@ -6,7 +6,8 @@ run, so the measured time is end to end (store construction and Spark
 aggregations included) for baseline and optimized alike — the paper
 measures complete runs the same way. ``store_factory`` selects the
 substrate: ``RankedDataset.spark_store`` for the real experiments,
-``RankedDataset.pandas_store`` for fast smoke tests.
+``RankedDataset.pandas_store`` for fast smoke tests. A point at which both
+runs finish raises if their result sets differ.
 """
 from __future__ import annotations
 
@@ -39,26 +40,39 @@ class Defaults:
 
 DEFAULTS = Defaults()
 
+#: The T3–T6 sweeps and the T8 detection run over the first ``ATTR_CAP``
+#: attributes (the paper likewise capped attribute counts at what the
+#: baseline handled within its timeout).
+ATTR_CAP = 10
+
 _ALGOS = ("baseline", "optimized")
 
 
 def _point(
     ds: RankedDataset,
     store_factory: StoreFactory,
-    problem: str,
-    spec,
+    spec: GlobalSpec | PropSpec,
     tau: int,
     k_min: int,
     k_max: int,
     timeout_s: float | None,
 ) -> dict[str, RunOutcome]:
-    return {
+    """Run the baseline and the optimized algorithm at one sweep point.
+    Raises if both finish with different result sets."""
+    point = {
         algo: run_algorithm(
-            partial(store_factory, ds), problem, algo, spec, tau, k_min,
-            k_max, timeout_s,
+            partial(store_factory, ds), algo, spec, tau, k_min, k_max,
+            timeout_s,
         )
         for algo in _ALGOS
     }
+    base, opt = point["baseline"].res, point["optimized"].res
+    if base is not None and opt is not None and base != opt:
+        raise RuntimeError(
+            f"{ds.name}: baseline and optimized result sets differ "
+            f"({spec}, tau={tau}, k in [{k_min}, {k_max}])"
+        )
+    return point
 
 
 def sweep_num_attrs(
@@ -73,9 +87,8 @@ def sweep_num_attrs(
     rows = []
     for m in attr_counts:
         point = _point(
-            ds.with_attrs(m), store_factory, problem,
-            defaults.spec(problem), defaults.tau,
-            defaults.k_min, defaults.k_max, timeout_s,
+            ds.with_attrs(m), store_factory, defaults.spec(problem),
+            defaults.tau, defaults.k_min, defaults.k_max, timeout_s,
         )
         rows.append({"dataset": ds.name, "n_attrs": m, **point})
     return rows
@@ -93,7 +106,7 @@ def sweep_tau(
     rows = []
     for tau in taus:
         point = _point(
-            ds, store_factory, problem, defaults.spec(problem), tau,
+            ds, store_factory, defaults.spec(problem), tau,
             defaults.k_min, defaults.k_max, timeout_s,
         )
         rows.append({"dataset": ds.name, "tau": tau, **point})
@@ -124,8 +137,8 @@ def sweep_krange(
     for k_max in k_maxes:
         spec = _krange_spec(problem, defaults.k_min, k_max, defaults)
         point = _point(
-            ds, store_factory, problem, spec, defaults.tau,
-            defaults.k_min, k_max, timeout_s,
+            ds, store_factory, spec, defaults.tau, defaults.k_min, k_max,
+            timeout_s,
         )
         rows.append({"dataset": ds.name, "k_max": k_max, **point})
     return rows
@@ -150,9 +163,9 @@ def result_size_census(rows: list[dict]) -> dict:
             out = row[algo]
             if out.timed_out:
                 continue
-            for count in out.groups_per_k.values():
+            for groups in out.res.values():
                 total += 1
-                below += count < 100
+                below += len(groups) < 100
     return {
         "result_sets": total,
         "below_threshold": below,

@@ -69,10 +69,12 @@ def group_shapley(
     n_samples: int = 64,
     seed: int = 0,
 ) -> np.ndarray:
-    """Driver-side reference: mean per-tuple Shapley vector of a group."""
-    rng = np.random.default_rng(seed)
+    """Driver-side reference: mean per-tuple Shapley vector of a group.
+    Tuple ``i`` draws from the stream ``(seed, i)``, as in
+    :func:`group_shapley_spark`."""
     acc = np.zeros(X_group.shape[1], dtype=np.float64)
-    for row in X_group:
+    for i, row in enumerate(X_group):
+        rng = np.random.default_rng((seed, i))
         acc += mc_shapley(predict, row, background, n_samples, rng)
     return acc / len(X_group)
 
@@ -91,7 +93,8 @@ def group_shapley_spark(
     closure), reduced to the group vector with a DataFrame ``avg``.
 
     Per-tuple RNG streams are seeded from the tuple's stable index so the
-    result is independent of partitioning.
+    result is independent of partitioning and equals :func:`group_shapley`
+    up to the order of the floating-point sums.
     """
     names = list(feature_names)
     # Positional internal column names (f0..fm) keep the mapInPandas schema

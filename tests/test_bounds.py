@@ -5,7 +5,7 @@ from repro.core import iter_td
 from repro.core.brute_force import brute_force
 from repro.core.global_bounds import global_bounds
 from repro.core.prop_bounds import prop_bounds
-from repro.core.bounds import GlobalSpec, PropSpec, k_tilde, paper_default_global
+from repro.core.bounds import GlobalSpec, PropSpec, paper_default_global
 
 
 class TestGlobalSpec:
@@ -70,11 +70,12 @@ class TestPropSpec:
 class TestKTilde:
     def test_paper_example_4_7(self):
         """{Gender=F}: c=2, size=8, α=0.9, n=16 → k̃=5."""
-        assert k_tilde(2, 8, 0.9, 16) == 5
+        assert PropSpec(0.9).k_tilde(2, 8, 16) == 5
 
     def test_paper_example_4_9_values(self):
-        assert k_tilde(3, 8, 0.9, 16) == 7  # {School=MS}, {Address=R}
-        assert k_tilde(3, 6, 0.9, 16) == 9  # {School=MS, Address=R}
+        spec = PropSpec(0.9)
+        assert spec.k_tilde(3, 8, 16) == 7  # {School=MS}, {Address=R}
+        assert spec.k_tilde(3, 6, 16) == 9  # {School=MS, Address=R}
 
     @pytest.mark.parametrize("c", range(0, 12))
     @pytest.mark.parametrize("size", [1, 3, 8, 20])
@@ -83,7 +84,7 @@ class TestKTilde:
         """k̃ is the *first* k at which the fixed count violates."""
         n = 40
         spec = PropSpec(alpha)
-        kt = k_tilde(c, size, alpha, n)
+        kt = spec.k_tilde(c, size, n)
         assert spec.violates(c, size, kt, n)
         if kt > 1:
             assert not spec.violates(c, size, kt - 1, n)
@@ -92,15 +93,13 @@ class TestKTilde:
         """When c·n/(α·size) is an exact integer K, the bound equals c at
         K (not violating, strict <), so k̃ = K+1."""
         # c=2, size=4, alpha=1, n=10 → c*n/(alpha*size) = 5 exactly.
-        assert k_tilde(2, 4, 1.0, 10) == 6
+        assert PropSpec(1.0).k_tilde(2, 4, 10) == 6
         # c·n/(α·size) = 5 exactly, but not in floats (0.8 is inexact).
-        assert k_tilde(1, 3, 0.8, 12) == 6
+        assert PropSpec(0.8).k_tilde(1, 3, 12) == 6
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            k_tilde(1, 0, 0.8, 10)
-        with pytest.raises(ValueError):
-            k_tilde(1, 5, 0.0, 10)
+        with pytest.raises(ValueError, match="size"):
+            PropSpec(0.8).k_tilde(1, 0, 10)
 
 
 class TestParameterCheck:

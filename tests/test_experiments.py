@@ -1,5 +1,6 @@
 """Tests for the experiment harness (runner, sweeps, tables)."""
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,9 @@ from repro.experiments import (
     sweep_num_attrs,
     sweep_tau,
 )
+from repro.experiments import runner
 from repro.experiments.runner import run_algorithm
+from repro.experiments.shapley_exp import pick_group
 from repro.experiments.sweeps import Defaults, examined_gain
 from repro.datasets.base import RankedDataset
 
@@ -24,21 +27,19 @@ class TestRunner:
     def test_baseline_and_optimized_agree(self, paper_ds):
         spec = GlobalSpec({3: 2})
         runs = {
-            a: run_algorithm(
-                paper_ds.pandas_store, "global", a, spec, 3, 3, 10
-            )
+            a: run_algorithm(paper_ds.pandas_store, a, spec, 3, 3, 10)
             for a in ("baseline", "optimized")
         }
         assert runs["baseline"].res == runs["optimized"].res
         assert not runs["baseline"].timed_out
         assert runs["optimized"].examined < runs["baseline"].examined
-        assert runs["baseline"].groups_per_k.keys() == set(range(3, 11))
+        assert runs["baseline"].res.keys() == set(range(3, 11))
 
     def test_timeout_marks_outcome(self, paper_ds):
         from repro.datasets.hardness import hardness_construction
 
         out = run_algorithm(
-            hardness_construction(14).pandas_store, "global", "baseline",
+            hardness_construction(14).pandas_store, "baseline",
             GlobalSpec({14: 8}), 1, 14, 14, timeout_s=0.0,
         )
         assert out.timed_out
@@ -54,7 +55,7 @@ class TestRunner:
             return paper_ds.pandas_store()
 
         out = run_algorithm(
-            slow_factory, "global", "baseline", GlobalSpec({3: 2}), 3, 3, 10,
+            slow_factory, "baseline", GlobalSpec({3: 2}), 3, 3, 10,
             timeout_s=sleep_s / 2,
         )
         assert out.timed_out
@@ -120,6 +121,24 @@ class TestSweeps:
             assert r["optimized"].res == r["baseline"].res
             assert examined_gain(r) > 0
 
+    def test_point_raises_when_results_differ(self, paper_ds, monkeypatch):
+        """A sweep point at which both runs finish compares their result
+        sets: an optimized run that loses one pattern stops the sweep."""
+        optimized = runner.OPTIMIZED[GlobalSpec]
+
+        def drop_one(*args, **kwargs):
+            result = optimized(*args, **kwargs)
+            k = max(k for k, groups in result.res.items() if groups)
+            result.res[k] = frozenset(sorted(result.res[k])[1:])
+            return result
+
+        monkeypatch.setitem(runner.OPTIMIZED, GlobalSpec, drop_one)
+        with pytest.raises(RuntimeError, match="result sets differ"):
+            sweep_tau(
+                paper_ds, "global", [2], RankedDataset.pandas_store, SMALL,
+                None,
+            )
+
     def test_examined_gain_positive_on_wide_range(self, paper_ds):
         rows = sweep_krange(
             paper_ds, "global", [16], RankedDataset.pandas_store, SMALL, None
@@ -136,6 +155,34 @@ class TestSweeps:
         assert 0.0 <= census["fraction"] <= 1.0
         # Paper-example results are tiny, all below 100 groups.
         assert census["fraction"] == 1.0
+
+
+class TestPickGroup:
+    """T8's group does not depend on the iteration order of the detected
+    set: the same candidates in two orders give the same pick."""
+
+    @staticmethod
+    def picks(sizes: dict, dataset: str) -> set:
+        store = SimpleNamespace(
+            attr_names=["Medu", "sex"], size=sizes.__getitem__
+        )
+        return {
+            pick_group(store, order, dataset)
+            for order in (list(sizes), list(sizes)[::-1])
+        }
+
+    def test_smallest_preferred_singleton(self):
+        sizes = {
+            ((0, "1"),): 54, ((0, "2"),): 93, ((0, "4"),): 54,
+            ((1, "F"),): 20, ((0, "3"), (1, "M")): 30,
+        }
+        assert self.picks(sizes, "student") == {((0, "1"),)}
+
+    def test_largest_group_without_preferred_attribute(self):
+        sizes = {((1, "M"),): 40, ((1, "F"),): 40, ((0, "2"),): 12}
+        assert self.picks(sizes, "german_credit") == {((1, "F"),)}
+        pairs = {((0, "2"), (1, "M")): 9, ((0, "1"), (1, "F")): 9}
+        assert self.picks(pairs, "german_credit") == {((0, "1"), (1, "F"))}
 
 
 class TestTables:

@@ -8,7 +8,6 @@ from repro.core import (
     PropSpec,
     children,
     iter_td,
-    k_tilde,
 )
 from repro.core.brute_force import brute_force
 from repro.core.global_bounds import global_bounds
@@ -120,9 +119,10 @@ class TestExample49PropBounds:
         c_m = store.topk_count(((G, "M"),), 4)
         c_f = store.topk_count(((G, "F"),), 4)
         assert (c_m, c_f) == (2, 2)
-        assert k_tilde(2, 8, 0.9, 16) == 5  # {Gender=M}, {Gender=F}
-        assert k_tilde(3, 8, 0.9, 16) == 7  # {School=MS}, {Address=R}
-        assert k_tilde(3, 6, 0.9, 16) == 9  # {School=MS, Address=R}
+        spec = PropSpec(0.9)
+        assert spec.k_tilde(2, 8, 16) == 5  # {Gender=M}, {Gender=F}
+        assert spec.k_tilde(3, 8, 16) == 7  # {School=MS}, {Address=R}
+        assert spec.k_tilde(3, 6, 16) == 9  # {School=MS, Address=R}
 
     def test_all_algorithms_agree(self, results):
         assert results["iter"] == results["brute"]

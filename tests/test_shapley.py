@@ -64,16 +64,19 @@ class TestMcShapley:
 class TestGroupShapley:
     def test_group_mean_of_singletons(self, linear_setup):
         """A group's vector is the mean of its tuples' vectors (the
-        paper's aggregation formula)."""
-        _, X, predict = linear_setup
+        paper's aggregation formula). Tuple ``i`` is estimated on its own
+        stream ``(seed, i)``, whatever the other tuples; for a linear model
+        each tuple's φ is ≈ w·(x − E[z]), so a group's is
+        ≈ w·(mean x − E[z])."""
+        w, X, predict = linear_setup
+        first = group_shapley(predict, X[:1], X, n_samples=50, seed=4)
+        pair = group_shapley(predict, X[:2], X, n_samples=50, seed=4)
+        second = mc_shapley(predict, X[1], X, 50, np.random.default_rng((4, 1)))
+        assert 2 * pair - first == pytest.approx(second)
         grp = X[:5]
-        agg = group_shapley(predict, grp, X, n_samples=50, seed=4)
-        manual = np.zeros(X.shape[1])
-        rng = np.random.default_rng(4)
-        for row in grp:
-            manual += mc_shapley(predict, row, X, 50, rng)
-        manual /= len(grp)
-        assert agg == pytest.approx(manual)
+        agg = group_shapley(predict, grp, X, n_samples=400, seed=4)
+        expected = w * (grp.mean(axis=0) - X.mean(axis=0))
+        assert agg == pytest.approx(expected, abs=0.15)
 
 
 class TestEncodeFeatures:

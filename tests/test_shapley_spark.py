@@ -1,11 +1,10 @@
 """Distributed Shapley computation: the mapInPandas + DataFrame-avg path
-must reproduce the driver-side per-tuple computation exactly (per-tuple RNG
-streams are keyed by tuple index, so partitioning cannot change results)."""
+must reproduce the driver-side ``group_shapley`` (per-tuple RNG streams are
+keyed by tuple index, so partitioning cannot change results)."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.shapley import group_shapley_spark, mc_shapley
+from repro.shapley import group_shapley, group_shapley_spark
 from repro.shapley.cart import RegressionForest
 
 
@@ -26,13 +25,8 @@ def test_spark_matches_driver_reference(spark, fitted):
     out = group_shapley_spark(
         spark, model, grp, bg, names, n_samples=16, seed=11
     )
-    manual = np.zeros(3)
-    for idx, row in enumerate(grp):
-        manual += mc_shapley(
-            model.predict, row, bg, 16, np.random.default_rng((11, idx))
-        )
-    manual /= len(grp)
-    assert out.to_numpy() == pytest.approx(manual, rel=1e-9)
+    driver = group_shapley(model.predict, grp, bg, n_samples=16, seed=11)
+    assert out.to_numpy() == pytest.approx(driver, rel=1e-9)
     assert list(out.index) == names
 
 
