@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.core.bounds import GlobalSpec, check_params
 from repro.core.pattern import has_ancestor_in, satisfies
-from repro.core.result import SearchResult, SearchStats
+from repro.core.result import SearchResult, SearchStats, freeze
 from repro.core.store import BaseStatsStore
 from repro.core.topdown import resume_search, top_down_search
 
@@ -70,7 +70,7 @@ def global_bounds(
                 # and dominated (DRes). Steps without crossers leave the
                 # split intact, so the pass is skipped.
                 normalize_frontier(res, dres)
-        out[k] = frozenset(res)
+        out[k] = freeze(res, out[k - 1])
     return SearchResult(res=out, stats=stats)
 
 

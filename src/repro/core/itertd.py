@@ -3,7 +3,7 @@ range (Section IV-A). Handles both problem definitions through the spec."""
 from __future__ import annotations
 
 from repro.core.bounds import GlobalSpec, PropSpec, check_params
-from repro.core.result import SearchResult, SearchStats
+from repro.core.result import SearchResult, SearchStats, freeze
 from repro.core.store import BaseStatsStore
 from repro.core.topdown import top_down_search
 
@@ -23,5 +23,5 @@ def iter_td(
     res = {}
     for k in range(k_min, k_max + 1):
         res_k, _ = top_down_search(store, spec, tau, k, stats)
-        res[k] = frozenset(res_k)
+        res[k] = freeze(res_k, res.get(k - 1))
     return SearchResult(res=res, stats=stats)

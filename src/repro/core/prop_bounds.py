@@ -45,7 +45,7 @@ from repro.core.pattern import (
     has_ancestor_in,
     satisfies,
 )
-from repro.core.result import SearchResult, SearchStats
+from repro.core.result import SearchResult, SearchStats, freeze
 from repro.core.store import BaseStatsStore
 from repro.core.topdown import child_attr_sets
 
@@ -193,7 +193,7 @@ def prop_bounds(
         s.selective_td(new_tuple, k, visited)
         s.fire_k_tilde(k, visited)
         s.promote()
-        out[k] = frozenset(s.res)
+        out[k] = freeze(s.res, out[k - 1])
         if _debug_invariants:
             s.check_invariants(k)
     return SearchResult(res=out, stats=stats)

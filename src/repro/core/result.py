@@ -31,6 +31,12 @@ class SearchStats:
             raise SearchTimeout(f"examined={self.examined}")
 
 
+def freeze(res: set[Pattern], prev: frozenset[Pattern] | None) -> frozenset:
+    """``res`` as the result set of a step: ``prev``, the previous step's
+    set, when they are equal, so runs of unchanged steps share one set."""
+    return prev if prev == res else frozenset(res)
+
+
 @dataclass
 class SearchResult:
     """Output of a detection algorithm: the most general biased patterns per

@@ -2,23 +2,20 @@
 
 A store collects the ranked table to the driver once, at construction; the
 rows give ``n``, ``domains`` and ``row_at_rank``. For an attribute subset
-``S`` it computes, in one aggregation,
+``S`` it computes, in one pass over the rows,
 ``{value-combination → (s_D, sorted ranks)}``. Because the sorted rank list
 of a pattern is kept, ``s_{R^k(D)}(p)`` for *any* ``k`` is a binary search —
-one aggregation serves the entire k-range and every algorithm, so runtime
+one grouping serves the entire k-range and every algorithm, so runtime
 differences between ITERTD and the optimized algorithms reflect patterns
 examined (the paper's metric), not redundant counting.
 
-Two implementations with the same semantics:
+Both stores group the collected rows on the driver, one pass per
+attribute set (``BaseStatsStore._aggregate``); they differ only in where
+the rows come from:
 
-* :class:`SparkStatsStore` — the production path:
-  ``df.groupBy(S).agg(count(*), sort_array(collect_list(rank)))`` on a cached
-  DataFrame, per attribute set and memoised, or one GROUPING SETS
-  aggregation for several sets (``prefetch``).
-* :class:`PandasStatsStore` — groups the collected rows on the driver, one
-  pass per attribute set; the reference the Spark store is tested against
-  and the store of the fast correctness grids. A dedicated test module
-  asserts Spark ≡ pandas ≡ DuckDB (via ``repro.oracle``).
+* :class:`SparkStatsStore` — a ranked Spark DataFrame, read with one
+  ``orderBy(rank).collect()``;
+* :class:`PandasStatsStore` — a ranked pandas DataFrame.
 
 Values are keyed as strings. A null is one value of its own, ``'None'``, in
 both stores, as in Spark and SQL ``GROUP BY``: nulls form a group, appear in
@@ -110,13 +107,18 @@ class BaseStatsStore:
         return g
 
     def prefetch(self, attr_sets: list[tuple[int, ...]]) -> None:
-        """Warm the cache for several attribute sets at once. The base
-        implementation loops; the Spark store overrides this with a single
-        GROUPING SETS aggregation (the searches prefetch a node's children
-        attribute sets before expanding, collapsing per-child jobs)."""
+        """Group every non-empty set of ``attr_sets`` now. The searches
+        call this with a node's child attribute sets before they expand
+        it; grouping on demand, in ``group``, gives the same results. It
+        and its call sites remain because the benchmark's span tracer
+        (``perfbench/spans.py``) binds this name."""
         for s in attr_sets:
             if s:
                 self.group(s)
+
+    #: No caller: the benchmark's span tracer binds this name too, so it
+    #: stays until the tracer drops it (ROADMAP item 1).
+    _prefetch_batch = prefetch
 
     def stat(self, p: Pattern) -> PatternStat | None:
         """Stats of one pattern (``None`` if no tuple satisfies it)."""
@@ -161,12 +163,12 @@ class PandasStatsStore(BaseStatsStore):
 
 
 class SparkStatsStore(BaseStatsStore):
-    """Pattern statistics via Spark DataFrame aggregations.
+    """Pattern statistics over a Spark DataFrame, grouped on the driver.
 
     ``df`` must carry the pattern attributes plus a dense 1-based integer
-    ``rank`` column (see ``repro.ranking.rankers.add_rank``). The DataFrame
-    is cached, and the collect at construction fills the cache, so each
-    aggregation scans memory, not the source.
+    ``rank`` column (see ``repro.ranking.rankers``). Construction reads it
+    once, with a single ``orderBy(rank).collect()``; every later statistic
+    comes from the collected rows, so the DataFrame is not cached.
     """
 
     def __init__(
@@ -178,29 +180,8 @@ class SparkStatsStore(BaseStatsStore):
         self._df = df.select(
             *[F.col(a).cast("string").alias(a) for a in attr_names],
             F.col(rank_col).cast("long").alias(rank_col),
-        ).cache()
-        try:
-            super().__init__(attr_names, rank_col)
-        except ValueError:
-            self._df.unpersist()
-            raise
-
-    def _aggregate(self, attr_idxs: tuple[int, ...]) -> GroupStats:
-        cols = [self.attr_names[i] for i in attr_idxs]
-        rows = (
-            self._df.groupBy(*cols)
-            .agg(
-                F.count(F.lit(1)).alias("cnt"),
-                F.sort_array(F.collect_list(self.rank_col)).alias("ranks"),
-            )
-            .collect()
         )
-        return {
-            tuple(str(r[c]) for c in cols): PatternStat(
-                int(r["cnt"]), tuple(int(x) for x in r["ranks"])
-            )
-            for r in rows
-        }
+        super().__init__(attr_names, rank_col)
 
     def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
         rows = self._df.orderBy(self.rank_col).collect()
@@ -209,59 +190,7 @@ class SparkStatsStore(BaseStatsStore):
             for r in rows
         ]
 
-    #: Max grouping sets per batched aggregation (keeps the generated plan
-    #: a reasonable size; batches are chunked beyond this).
-    _PREFETCH_CHUNK = 48
-
-    def prefetch(self, attr_sets: list[tuple[int, ...]]) -> None:
-        """One GROUPING SETS aggregation for all missing attribute sets:
-        ``grouping_id`` identifies which set each output row belongs to, so
-        a single Spark job fills many cache entries."""
-        missing = sorted(
-            {s for s in attr_sets if s and s not in self._groups}
-        )
-        if not missing:
-            return
-        if len(missing) == 1:
-            # Measured: single sets sent through GROUPING SETS ran 67 Spark
-            # jobs per german-prop-tau10 detection against 51 via groupBy.
-            self.group(missing[0])
-            return
-        for i in range(0, len(missing), self._PREFETCH_CHUNK):
-            self._prefetch_batch(missing[i : i + self._PREFETCH_CHUNK])
-
-    def _prefetch_batch(self, missing: list[tuple[int, ...]]) -> None:
-        self.jobs += 1
-        start = time.monotonic()
-        all_idx = sorted({i for s in missing for i in s})
-        cols = [self.attr_names[i] for i in all_idx]
-        gd = self._df.groupingSets(
-            [[self.attr_names[i] for i in s] for s in missing], *cols
-        )
-        rows = gd.agg(
-            F.count(F.lit(1)).alias("cnt"),
-            F.sort_array(F.collect_list(self.rank_col)).alias("ranks"),
-            F.grouping_id(*cols).alias("gid"),
-        ).collect()
-        # grouping_id bit b (MSB-first over ``cols``) is 0 iff that column
-        # is grouped; distinct attribute sets get distinct ids.
-        gid_to_set = {}
-        for s in missing:
-            mask = 0
-            for b, i in enumerate(all_idx):
-                if i not in s:
-                    mask |= 1 << (len(all_idx) - 1 - b)
-            gid_to_set[mask] = s
-        out: dict[tuple[int, ...], GroupStats] = {s: {} for s in missing}
-        for r in rows:
-            s = gid_to_set[int(r["gid"])]
-            key = tuple(str(r[self.attr_names[i]]) for i in s)
-            out[s][key] = PatternStat(
-                int(r["cnt"]), tuple(int(x) for x in r["ranks"])
-            )
-        self._groups.update(out)
-        self.agg_seconds += time.monotonic() - start
-
     def unpersist(self) -> None:
-        """Release the cached DataFrame."""
-        self._df.unpersist()
+        """Nothing to release: the DataFrame is read once and never cached.
+        Kept because the benchmark (``perfbench/workloads.detect``) calls
+        it on every store it builds."""

@@ -30,9 +30,11 @@ from repro.core.store import BaseStatsStore
 
 
 def child_attr_sets(p: Pattern, n_attrs: int) -> list[tuple[int, ...]]:
-    """The attribute sets spanned by ``p``'s search-tree children — handed
-    to ``store.prefetch`` so one batched aggregation covers the whole
-    expansion instead of one job per child attribute set."""
+    """The attribute sets spanned by ``p``'s search-tree children, handed
+    to ``store.prefetch`` before an expansion. The store would group them
+    on first lookup anyway; this function and its call sites remain
+    because the benchmark's span tracer (``perfbench/spans.py``) binds
+    them."""
     base = attr_indices(p)
     return [base + (j,) for j in range(max_index(p) + 1, n_attrs)]
 

@@ -16,7 +16,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.datasets.base import RankedDataset, bucketize
-from repro.ranking.rankers import add_rank, normalized_score
+from repro.ranking.rankers import normalized_score, rank_frame
 
 PATTERN_ATTRS = [
     "sex", "race", "age_cat", "c_charge_degree", "score_text", "v_score_text",
@@ -39,7 +39,7 @@ def _score_text(decile: np.ndarray) -> np.ndarray:
 def compas(
     spark: SparkSession, n: int = 6889, seed: int = 7
 ) -> RankedDataset:
-    """Generate the synthetic COMPAS dataset and rank it with Spark."""
+    """Generate the synthetic COMPAS dataset and rank it on the driver."""
     g = np.random.default_rng(seed)
     sex = g.choice(["Male", "Female"], n, p=[0.81, 0.19])
     race = g.choice(_RACES, n, p=[0.514, 0.34, 0.082, 0.05, 0.0045, 0.0095])
@@ -112,16 +112,15 @@ def compas(
             "recid_num": recid,
         }
     )
-    sdf = normalized_score(
-        spark.createDataFrame(pdf),
+    scored = normalized_score(
+        pdf,
         positive_cols=[
             "c_days_from_compas_num", "juv_other_num",
             "days_b_screening_num", "start_num", "end_num", "priors_num",
         ],
         negative_cols=["age_num"],
     )
-    sdf = add_rank(sdf, "score", tiebreak_cols=["id"])
-    out = sdf.toPandas()
+    out = rank_frame(scored, "score")
     numeric = {
         "age_cat": "age_num",
         "priors_count": "priors_num",
@@ -140,5 +139,5 @@ def compas(
         pdf=out,
         pattern_attrs=PATTERN_ATTRS,
         numeric_cols=numeric,
-        df=sdf,
+        df=spark.createDataFrame(out),
     )

@@ -14,7 +14,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.datasets.base import RankedDataset, bucketize
-from repro.ranking.rankers import add_rank
+from repro.ranking.rankers import rank_frame
 
 PATTERN_ATTRS = [
     "account_status", "duration", "credit_history", "purpose",
@@ -33,7 +33,7 @@ _PURPOSES = [
 def german_credit(
     spark: SparkSession, n: int = 1000, seed: int = 11
 ) -> RankedDataset:
-    """Generate the synthetic German Credit dataset and rank it with Spark."""
+    """Generate the synthetic German Credit data and rank it on the driver."""
     g = np.random.default_rng(seed)
     # Account status A11..A14: < 0 DM, 0..200 DM, >= 200 DM, no account.
     acct = g.choice(["A11", "A12", "A13", "A14"], n, p=[0.274, 0.269, 0.063, 0.394])
@@ -120,10 +120,7 @@ def german_credit(
             "creditworthiness": score,
         }
     )
-    sdf = add_rank(
-        spark.createDataFrame(pdf), "creditworthiness", tiebreak_cols=["id"]
-    )
-    out = sdf.toPandas()
+    out = rank_frame(pdf, "creditworthiness")
     numeric = {
         "account_status": "acct_ord_num",
         "duration": "duration_num",
@@ -139,5 +136,5 @@ def german_credit(
         pdf=out,
         pattern_attrs=PATTERN_ATTRS,
         numeric_cols=numeric,
-        df=sdf,
+        df=spark.createDataFrame(out),
     )

@@ -16,7 +16,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.datasets.base import RankedDataset, bucketize
-from repro.ranking.rankers import add_rank
+from repro.ranking.rankers import rank_frame
 
 #: UCI attribute order — the case study uses the first four.
 PATTERN_ATTRS = [
@@ -39,7 +39,7 @@ def _yn(g: np.random.Generator, n: int, p_yes: float) -> np.ndarray:
 def student(
     spark: SparkSession, n: int = 395, seed: int = 42
 ) -> RankedDataset:
-    """Generate the synthetic Student dataset and rank it with Spark."""
+    """Generate the synthetic Student dataset and rank it on the driver."""
     g = np.random.default_rng(seed)
     school = g.choice(["GP", "MS"], n, p=[0.883, 0.117])
     sex = g.choice(["F", "M"], n, p=[0.527, 0.473])
@@ -130,8 +130,7 @@ def student(
             "G3_num": g3,
         }
     )
-    sdf = add_rank(spark.createDataFrame(pdf), "G3_num", tiebreak_cols=["id"])
-    out = sdf.toPandas()
+    out = rank_frame(pdf, "G3_num")
     numeric = {
         "age": "age_num", "absences": "absences_num",
         "G1": "G1_num", "G2": "G2_num", "G3": "G3_num",
@@ -145,5 +144,5 @@ def student(
         pdf=out,
         pattern_attrs=PATTERN_ATTRS,
         numeric_cols=numeric,
-        df=sdf,
+        df=spark.createDataFrame(out),
     )

@@ -1,3 +1,7 @@
-"""Ranking substrate: score computation and rank assignment in Spark."""
+"""Ranking substrate: score computation and rank assignment."""
 
-from repro.ranking.rankers import add_rank, normalized_score  # noqa: F401
+from repro.ranking.rankers import (  # noqa: F401
+    add_rank,
+    normalized_score,
+    rank_frame,
+)

@@ -62,6 +62,14 @@ def mc_shapley(
     return phi / n_samples
 
 
+def tuple_rng(seed: int, i: int) -> np.random.Generator:
+    """The random stream of tuple ``i`` in a group estimate. The middle
+    ``1`` keeps every tuple's stream apart from ``default_rng(seed)``:
+    ``default_rng((seed, 0))`` is that same stream, so a caller that also
+    draws from ``default_rng(seed)`` would see tuple 0 replay its draws."""
+    return np.random.default_rng((seed, 1, i))
+
+
 def group_shapley(
     predict: PredictFn,
     X_group: np.ndarray,
@@ -70,11 +78,11 @@ def group_shapley(
     seed: int = 0,
 ) -> np.ndarray:
     """Driver-side reference: mean per-tuple Shapley vector of a group.
-    Tuple ``i`` draws from the stream ``(seed, i)``, as in
+    Tuple ``i`` draws from ``tuple_rng(seed, i)``, as in
     :func:`group_shapley_spark`."""
     acc = np.zeros(X_group.shape[1], dtype=np.float64)
     for i, row in enumerate(X_group):
-        rng = np.random.default_rng((seed, i))
+        rng = tuple_rng(seed, i)
         acc += mc_shapley(predict, row, background, n_samples, rng)
     return acc / len(X_group)
 
@@ -112,7 +120,7 @@ def group_shapley_spark(
             X = batch[fcols].to_numpy(dtype="float64")
             out = np.empty((len(batch), len(fcols)), dtype="float64")
             for i, (row, t_idx) in enumerate(zip(X, batch["_tuple_idx"])):
-                rng = np.random.default_rng((seed, int(t_idx)))
+                rng = tuple_rng(seed, int(t_idx))
                 out[i] = mc_shapley(
                     model.predict, row, background, n_samples, rng
                 )

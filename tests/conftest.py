@@ -1,5 +1,5 @@
-"""Shared fixtures: paper datasets at test scale (session-scoped — dataset
-generation ranks via Spark) and the Figure-1 running example."""
+"""Shared fixtures: paper datasets at test scale (session-scoped — each
+generator attaches a Spark DataFrame) and the Figure-1 running example."""
 from __future__ import annotations
 
 import pytest

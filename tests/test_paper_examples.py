@@ -136,3 +136,24 @@ def test_empty_range_single_k(store):
     r2 = global_bounds(store, spec, 4, 5, 5).res
     res, _ = top_down_search(store, spec, 4, 5, SearchStats())
     assert r1[5] == r2[5] == frozenset(res)
+
+
+@pytest.mark.parametrize(
+    "algorithm, spec",
+    [
+        (iter_td, GlobalSpec({2: 1, 6: 2, 10: 3})),
+        (iter_td, PropSpec(0.5)),
+        (global_bounds, GlobalSpec({2: 1, 6: 2, 10: 3})),
+        (prop_bounds, PropSpec(0.5)),
+    ],
+    ids=["iter_td-global", "iter_td-prop", "global_bounds", "prop_bounds"],
+)
+def test_unchanged_result_sets_are_shared(store, algorithm, spec):
+    """A step whose Res equals the previous step's reuses that set object;
+    every result set still equals the reference's."""
+    res = algorithm(store, spec, 2, 2, 16).res
+    assert res == brute_force(store, spec, 2, 2, 16).res
+    same = [k for k in range(3, 17) if res[k] == res[k - 1]]
+    assert same and len(same) < 14
+    for k in same:
+        assert res[k] is res[k - 1]

@@ -1,12 +1,13 @@
 """Ranking substrate tests: Window ranking against the DuckDB oracle and
-the Figure-1 ground truth."""
+the Figure-1 ground truth, the driver ranker against the Window ranking,
+and the driver-side normalized score."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.datasets.paper_example import paper_example
 from repro.oracle import assert_equivalent
-from repro.ranking import add_rank, normalized_score
+from repro.ranking import add_rank, normalized_score, rank_frame
 
 
 def test_rank_matches_duckdb_row_number(spark):
@@ -45,36 +46,63 @@ def test_rank_is_dense_permutation(spark):
     assert ranks == list(range(1, 51))
 
 
+def _spark_ranks(spark, pdf, score_col) -> dict:
+    ranked = add_rank(spark.createDataFrame(pdf), score_col, tiebreak_cols=["id"])
+    return {r["id"]: r["rank"] for r in ranked.select("id", "rank").collect()}
+
+
+@pytest.mark.parametrize(
+    "fixture, score_col",
+    [
+        ("compas_ds", "score"),
+        ("student_ds", "G3_num"),
+        ("german_ds", "creditworthiness"),
+    ],
+)
+def test_driver_ranks_equal_window_ranks(request, spark, fixture, score_col):
+    """Each generator's driver ranks are the ranks ``add_rank`` gives the
+    same table in Spark."""
+    ds = request.getfixturevalue(fixture)
+    spark_ranks = _spark_ranks(spark, ds.pdf.drop(columns=["rank"]), score_col)
+    assert dict(zip(ds.pdf["id"], ds.pdf["rank"])) == spark_ranks
+
+
+def test_driver_ranks_equal_window_ranks_with_ties(spark):
+    pdf = pd.DataFrame(
+        {"id": [5, 3, 9, 1, 7, 2], "score": [2.0, 1.0, 2.0, 2.0, 1.0, 3.0]}
+    )
+    ranked = rank_frame(pdf, "score")
+    assert ranked["rank"].tolist() == [1, 2, 3, 4, 5, 6]
+    assert ranked["id"].tolist() == [2, 1, 5, 9, 3, 7]
+    assert dict(zip(ranked["id"], ranked["rank"])) == _spark_ranks(
+        spark, pdf, "score"
+    )
+
+
 class TestNormalizedScore:
-    def test_minmax_and_negation(self, spark):
+    def test_minmax_and_negation(self):
         pdf = pd.DataFrame(
             {"a": [0.0, 5.0, 10.0], "b": [10.0, 20.0, 30.0], "id": [1, 2, 3]}
         )
-        scored = normalized_score(
-            spark.createDataFrame(pdf), positive_cols=["a"], negative_cols=["b"]
-        )
-        out = {r["id"]: r["score"] for r in scored.collect()}
+        scored = normalized_score(pdf, positive_cols=["a"], negative_cols=["b"])
+        out = dict(zip(scored["id"], scored["score"]))
         # a normalized: 0, .5, 1 ; b contributes 1-normalized: 1, .5, 0
         assert out[1] == pytest.approx(1.0)
         assert out[2] == pytest.approx(1.0)
         assert out[3] == pytest.approx(1.0)
 
-    def test_constant_column_contributes_zero(self, spark):
+    def test_constant_column_contributes_zero(self):
         pdf = pd.DataFrame({"a": [3.0, 3.0], "b": [1.0, 2.0], "id": [1, 2]})
-        scored = normalized_score(
-            spark.createDataFrame(pdf), positive_cols=["a", "b"]
-        )
-        out = {r["id"]: r["score"] for r in scored.collect()}
+        scored = normalized_score(pdf, positive_cols=["a", "b"])
+        out = dict(zip(scored["id"], scored["score"]))
         assert out[1] == pytest.approx(0.0)
         assert out[2] == pytest.approx(1.0)
 
-    def test_against_duckdb(self, spark):
+    def test_against_duckdb(self):
         pdf = pd.DataFrame(
             {"id": range(1, 9), "x": [2.0, 4, 6, 8, 1, 3, 5, 7]}
         )
-        scored = normalized_score(
-            spark.createDataFrame(pdf), positive_cols=["x"]
-        ).select("id", F.round("score", 6).alias("score"))
+        scored = normalized_score(pdf, positive_cols=["x"])[["id", "score"]]
         assert_equivalent(
             scored,
             """

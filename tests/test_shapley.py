@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.shapley import encode_features, group_shapley, mc_shapley
+from repro.shapley.shapley import tuple_rng
 from repro.shapley.analysis import (
     distribution_distance,
     group_mask,
@@ -65,18 +66,27 @@ class TestGroupShapley:
     def test_group_mean_of_singletons(self, linear_setup):
         """A group's vector is the mean of its tuples' vectors (the
         paper's aggregation formula). Tuple ``i`` is estimated on its own
-        stream ``(seed, i)``, whatever the other tuples; for a linear model
-        each tuple's φ is ≈ w·(x − E[z]), so a group's is
+        stream ``tuple_rng(seed, i)``, whatever the other tuples; for a
+        linear model each tuple's φ is ≈ w·(x − E[z]), so a group's is
         ≈ w·(mean x − E[z])."""
         w, X, predict = linear_setup
         first = group_shapley(predict, X[:1], X, n_samples=50, seed=4)
         pair = group_shapley(predict, X[:2], X, n_samples=50, seed=4)
-        second = mc_shapley(predict, X[1], X, 50, np.random.default_rng((4, 1)))
+        second = mc_shapley(predict, X[1], X, 50, tuple_rng(4, 1))
         assert 2 * pair - first == pytest.approx(second)
         grp = X[:5]
         agg = group_shapley(predict, grp, X, n_samples=400, seed=4)
         expected = w * (grp.mean(axis=0) - X.mean(axis=0))
         assert agg == pytest.approx(expected, abs=0.15)
+
+    def test_first_tuple_does_not_replay_the_seed_stream(self, linear_setup):
+        """``shapley_analysis`` draws its subsample and background from
+        ``default_rng(seed)``; tuple 0's Shapley draws must come from
+        another stream (``default_rng((seed, 0))`` is that same stream)."""
+        _, X, predict = linear_setup
+        first = group_shapley(predict, X[:1], X, n_samples=20, seed=4)
+        replay = mc_shapley(predict, X[0], X, 20, np.random.default_rng(4))
+        assert not np.allclose(first, replay)
 
 
 class TestEncodeFeatures:

@@ -1,5 +1,7 @@
-"""Spark pattern-statistics store: equivalence with the pandas twin and
-with the DuckDB oracle (repro.oracle.assert_equivalent)."""
+"""Spark pattern-statistics store: its row source against the pandas
+one, and the ranked Spark table against the DuckDB oracle
+(repro.oracle.assert_equivalent). Both stores group the collected rows with
+the same driver code, so equal rows give equal statistics."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -13,6 +15,14 @@ from repro.oracle import assert_equivalent
 @pytest.fixture(scope="module")
 def stores(paper_ds_spark):
     return paper_ds_spark.pandas_store(), paper_ds_spark.spark_store()
+
+
+def _null_table() -> pd.DataFrame:
+    return pd.DataFrame({
+        "A": ["x", None, "x", "y"],
+        "B": ["u", "v", None, None],
+        "rank": [1, 2, 3, 4],
+    })
 
 
 @pytest.mark.parametrize(
@@ -32,13 +42,24 @@ def test_spark_domains_and_n(stores):
 
 def test_spark_row_at_rank(stores):
     ps, ss = stores
-    for k in (1, 5, 16):
+    for k in range(1, ps.n + 1):
+        assert ss.row_at_rank(k) == ps.row_at_rank(k)
+
+
+def test_spark_store_on_synthetic_dataset(student_ds):
+    """The two row sources on a real-sized dataset (395 rows): same ``n``,
+    ``domains`` and ranked rows."""
+    ps, ss = student_ds.pandas_store(), student_ds.spark_store()
+    assert ss.n == ps.n == 395
+    assert ss.domains == ps.domains
+    for k in range(1, ps.n + 1):
         assert ss.row_at_rank(k) == ps.row_at_rank(k)
 
 
 def test_group_counts_against_duckdb(paper_ds_spark):
-    """The aggregation feeding the store, checked by the DuckDB oracle
-    (scalar projection: count + rank extrema, arrays are not orderable)."""
+    """The ranked Spark table the store reads, grouped in Spark and checked
+    by the DuckDB oracle (scalar projection: count + rank extrema, arrays
+    are not orderable)."""
     df = paper_ds_spark.df
     agg = df.groupBy("Gender", "School").agg(
         F.count(F.lit(1)).alias("cnt"),
@@ -74,19 +95,10 @@ def test_topk_counts_against_duckdb(paper_ds_spark):
         assert store.topk_count(((1, str(row["School"])),), 5) == row["topk"]
 
 
-def test_spark_store_on_synthetic_dataset(student_ds):
-    """Spark vs pandas store on a real-sized dataset (395 rows, many
-    attribute combinations)."""
-    ps, ss = student_ds.pandas_store(), student_ds.spark_store()
-    for attrs in [(0,), (6,), (0, 1), (1, 3), (0, 1, 2, 3)]:
-        assert ss.group(attrs) == ps.group(attrs)
-    assert ss.domains == ps.domains
-
-
 def test_construction_runs_no_aggregation(paper_ds_spark):
     """``n``, ``domains`` and ``row_at_rank`` come from the rows collected
     at construction, so the root's children sets are still uncached and
-    fill in one batched aggregation."""
+    a prefetch groups each of them once."""
     ss = paper_ds_spark.spark_store()
     assert ss.n == 16
     assert ss.domains == [
@@ -94,8 +106,9 @@ def test_construction_runs_no_aggregation(paper_ds_spark):
     ]
     assert ss.row_at_rank(1) == ("F", "GP", "U", "0")
     assert ss.jobs == 0
-    ss.prefetch(child_attr_sets(EMPTY, len(ss.domains)))
-    assert ss.jobs == 1
+    sets = child_attr_sets(EMPTY, len(ss.domains))
+    ss.prefetch(sets)
+    assert ss.jobs == len(sets) == 4
 
 
 def test_jobs_counter_tracks_cache_misses(paper_ds_spark):
@@ -108,18 +121,18 @@ def test_jobs_counter_tracks_cache_misses(paper_ds_spark):
 
 
 class TestPrefetch:
-    """The batched GROUPING SETS path must produce byte-identical group
-    dicts to per-set aggregation, in a single Spark job."""
+    """A prefetch groups each missing set once, with the same group dicts
+    as grouping on demand."""
 
     def test_prefetch_matches_per_set(self, paper_ds_spark):
         batched = paper_ds_spark.spark_store()
         sets = [(0,), (1,), (2,), (3,), (0, 1), (0, 3), (1, 2, 3)]
         batched.prefetch(sets)
-        assert batched.jobs == 1
+        assert batched.jobs == len(sets)
         loop = paper_ds_spark.pandas_store()
         for s in sets:
             assert batched.group(s) == loop.group(s)
-        assert batched.jobs == 1  # all served from the prefetch
+        assert batched.jobs == len(sets)  # all served from the prefetch
 
     def test_prefetch_skips_cached_and_empty(self, paper_ds_spark):
         ss = paper_ds_spark.spark_store()
@@ -128,35 +141,11 @@ class TestPrefetch:
         ss.prefetch([(), (0,)])
         assert ss.jobs == jobs
 
-    def test_prefetch_single_missing_uses_plain_group(self, paper_ds_spark):
-        ss = paper_ds_spark.spark_store()
-        ss.prefetch([(2,)])
-        assert ss.jobs == 1
-        assert ss.group((2,)) == paper_ds_spark.pandas_store().group((2,))
-
-    def test_prefetch_chunking(self, student_ds):
-        """More sets than one batch: chunked into several jobs, results
-        still correct."""
-        from itertools import combinations
-
-        ss = student_ds.spark_store()
-        sets = list(combinations(range(8), 2))  # 28 sets
-        ss._PREFETCH_CHUNK = 10
-        ss.prefetch(sets)
-        assert ss.jobs == 3
-        ps = student_ds.pandas_store()
-        for s in sets[:5]:
-            assert ss.group(s) == ps.group(s)
-
 
 def test_null_is_one_value_in_both_stores(spark):
     """A null is the value 'None' in both stores: a group of its own, a
     member of ``domains`` and the rendering of ``row_at_rank``."""
-    pdf = pd.DataFrame({
-        "A": ["x", None, "x", "y"],
-        "B": ["u", "v", None, None],
-        "rank": [1, 2, 3, 4],
-    })
+    pdf = _null_table()
     ps = PandasStatsStore(pdf, ["A", "B"])
     ss = SparkStatsStore(spark.createDataFrame(pdf), ["A", "B"])
     assert ps.domains == ss.domains == [["None", "x", "y"], ["None", "u", "v"]]
