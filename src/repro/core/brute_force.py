@@ -1,18 +1,17 @@
 """Brute-force reference for both problem definitions.
 
-Enumerates *every* pattern with ``s_D(p) ≥ τ_s`` (over all attribute
-subsets), finds the violating ones per k, and keeps those with no violating
-proper subpattern — a direct transcription of the most-general-pattern
-definition in Section III, with none of the search-tree machinery. Used as
-the correctness oracle for ITERTD / GLOBALBOUNDS / PROPBOUNDS in tests.
-Exponential in the attribute count; only run it on few attributes.
+Enumerates *every* pattern with ``s_D(p) ≥ τ_s``, finds the violating ones
+per k, and keeps those with no violating proper subpattern — a direct
+transcription of the most-general-pattern definition in Section III. The
+enumeration walks the search tree pruned by τ_s alone, with none of the
+algorithms' bound pruning or bookkeeping. Used as the correctness oracle
+for ITERTD / GLOBALBOUNDS / PROPBOUNDS in tests. Its cost grows with the
+number of substantial patterns, which every k's filter scans.
 """
 from __future__ import annotations
 
-from itertools import combinations
-
 from repro.core.bounds import GlobalSpec, PropSpec, check_params
-from repro.core.pattern import Pattern, has_ancestor_in
+from repro.core.pattern import EMPTY, Pattern, children, has_ancestor_in
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import BaseStatsStore, PatternStat
 
@@ -20,19 +19,22 @@ from repro.core.store import BaseStatsStore, PatternStat
 def _all_substantial(
     store: BaseStatsStore, tau: int
 ) -> dict[Pattern, PatternStat]:
-    """Every pattern with size ≥ τ_s, over every attribute subset.
+    """Every non-empty pattern with size ≥ τ_s: a walk down the search tree
+    (Definition 4.1) that prunes a pattern below τ_s with its subtree.
 
     Any ancestor of a substantial pattern is substantial too (sizes are
-    anti-monotone), so this set is closed under generalization — the
-    most-general check below never needs a pattern outside it.
+    anti-monotone), so the pruning loses none, and the set is closed under
+    generalization — the most-general check below never needs a pattern
+    outside it.
     """
-    n_attrs = len(store.attr_names)
     out: dict[Pattern, PatternStat] = {}
-    for r in range(1, n_attrs + 1):
-        for attr_set in combinations(range(n_attrs), r):
-            for vals, stat in store.group(attr_set).items():
-                if stat.size >= tau:
-                    out[tuple(zip(attr_set, vals))] = stat
+    stack = [EMPTY]
+    while stack:
+        for child in children(stack.pop(), store.domains):
+            stat = store.stat(child)
+            if stat.size >= tau:
+                out[child] = stat
+                stack.append(child)
     return out
 
 

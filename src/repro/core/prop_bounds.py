@@ -47,7 +47,6 @@ from repro.core.pattern import (
 )
 from repro.core.result import SearchResult, SearchStats, freeze
 from repro.core.store import BaseStatsStore
-from repro.core.topdown import child_attr_sets
 
 
 class _PropState:
@@ -103,11 +102,10 @@ class _PropState:
         evaluate each — recursing through their own expansions."""
         kept: list[Pattern] = []
         self.children_of[p] = kept
-        self.store.prefetch(child_attr_sets(p, len(self.store.domains)))
         for child in children(p, self.store.domains):
             self.stats.examined += 1
             st = self.store.stat(child)
-            if st is None or st.size < self.tau:
+            if st.size < self.tau:
                 continue
             kept.append(child)
             self.evaluate(child, k, visited)

@@ -1,17 +1,21 @@
 """Pattern-statistics stores: the data substrate of the search algorithms.
 
 A store collects the ranked table to the driver once, at construction; the
-rows give ``n``, ``domains`` and ``row_at_rank``. For an attribute subset
-``S`` it computes, in one pass over the rows,
-``{value-combination → (s_D, sorted ranks)}``. Because the sorted rank list
-of a pattern is kept, ``s_{R^k(D)}(p)`` for *any* ``k`` is a binary search —
-one grouping serves the entire k-range and every algorithm, so runtime
-differences between ITERTD and the optimized algorithms reflect patterns
-examined (the paper's metric), not redundant counting.
+rows give ``n``, ``domains`` and ``row_at_rank``. From them it builds one
+bitmap per (attribute, value) — a Python ``int`` whose bit ``r − 1`` is set
+iff the tuple at rank ``r`` has that value, the vertical "tidset" layout of
+Zaki's Eclat. A pattern's bitmap is the AND of its pairs' bitmaps, so
+``s_D(p)`` is its popcount and ``s_{R^k(D)}(p)`` for *any* ``k`` the
+popcount under a k-bit mask — one set of bitmaps serves the entire k-range
+and every algorithm, so runtime differences between ITERTD and the
+optimized algorithms reflect patterns examined (the paper's metric), not
+redundant counting. Pattern bitmaps are recomputed on every lookup, never
+cached, so a store's memory grows with the number of values, not with the
+patterns examined.
 
-Both stores group the collected rows on the driver, one pass per
-attribute set (``BaseStatsStore._aggregate``); they differ only in where
-the rows come from:
+Both stores build the bitmaps on the driver, one pass per attribute
+(``BaseStatsStore._aggregate``); they differ only in where the rows come
+from:
 
 * :class:`SparkStatsStore` — a ranked Spark DataFrame, read with one
   ``orderBy(rank).collect()``;
@@ -23,116 +27,81 @@ both stores, as in Spark and SQL ``GROUP BY``: nulls form a group, appear in
 """
 from __future__ import annotations
 
-import time
-from bisect import bisect_right
 from typing import NamedTuple, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.pattern import Pattern, attr_indices, values as pattern_values
+from repro.core.pattern import Pattern
 
 
 class PatternStat(NamedTuple):
-    """Statistics of one pattern: its size in D and the sorted (1-based)
-    rank positions of the tuples that satisfy it."""
+    """Statistics of one pattern: its size in D and its bitmap, whose bit
+    ``r − 1`` is set iff the tuple at rank ``r`` satisfies it."""
 
     size: int
-    ranks: tuple[int, ...]
+    bits: int
 
     def topk(self, k: int) -> int:
         """``s_{R^k(D)}(p)`` — satisfying tuples among the top-k."""
-        return bisect_right(self.ranks, k)
-
-
-GroupStats = dict[tuple[str, ...], PatternStat]
+        return (self.bits & ((1 << k) - 1)).bit_count()
 
 
 class BaseStatsStore:
-    """Shared collection, memoisation and lookup logic; groups the
-    collected rows on the driver."""
+    """Shared collection, bitmap and lookup logic."""
 
     def __init__(self, attr_names: Sequence[str], rank_col: str = "rank"):
         self.attr_names = list(attr_names)
         self.rank_col = rank_col
-        self._groups: dict[tuple[int, ...], GroupStats] = {}
-        self.jobs = 0  # aggregations actually computed (cache misses)
-        #: Wall-clock seconds spent inside aggregations. The experiment
-        #: tables report search time = total − agg time, isolating the
-        #: paper's algorithmic cost from the (shared) counting substrate.
-        self.agg_seconds = 0.0
         ranked = self._collect_rows()
         self.n = len(ranked)
         if [r for r, _ in ranked] != list(range(1, self.n + 1)):
             raise ValueError(f"{rank_col!r} must be exactly 1..n")
         #: Pattern-attribute values of the tuple at rank k, at ``k - 1``.
         self._rows = [row for _, row in ranked]
+        self._all = (1 << self.n) - 1
+        #: ``{value: bitmap}`` of each attribute, at its index.
+        self._bits = [self._aggregate(i) for i in range(len(self.attr_names))]
         #: Active domain of each attribute, sorted for determinism.
-        self.domains: list[list[str]] = [
-            sorted({row[i] for row in self._rows})
-            for i in range(len(self.attr_names))
-        ]
+        self.domains: list[list[str]] = [sorted(b) for b in self._bits]
 
     def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
         """``(rank, pattern-attribute values)`` of every tuple, ordered by
         rank."""
         raise NotImplementedError
 
-    def _aggregate(self, attr_idxs: tuple[int, ...]) -> GroupStats:
-        """One pass over the collected rows; a row's position is its rank,
-        so each rank list comes out sorted."""
-        ranks: dict[tuple[str, ...], list[int]] = {}
-        keys = zip(*([row[i] for row in self._rows] for i in attr_idxs))
-        for rank, key in enumerate(keys, 1):
-            ranks.setdefault(key, []).append(rank)
-        return {
-            key: PatternStat(len(rs), tuple(rs)) for key, rs in ranks.items()
-        }
+    def _aggregate(self, i: int) -> dict[str, int]:
+        """The bitmap of every value of attribute ``i``, in one pass over
+        the collected rows: bit ``r − 1`` stands for the tuple at rank
+        ``r``."""
+        bits: dict[str, int] = {}
+        for r, row in enumerate(self._rows):
+            bits[row[i]] = bits.get(row[i], 0) | (1 << r)
+        return bits
 
     # -- public API --------------------------------------------------------
-    def group(self, attr_idxs: tuple[int, ...]) -> GroupStats:
-        """Stats for every existing value combination over ``attr_idxs``.
-
-        Combinations absent from the data (size 0) are not present — they are
-        below any positive size threshold, so the search never needs them.
-        """
-        g = self._groups.get(attr_idxs)
-        if g is None:
-            self.jobs += 1
-            start = time.monotonic()
-            g = self._aggregate(attr_idxs)
-            self.agg_seconds += time.monotonic() - start
-            self._groups[attr_idxs] = g
-        return g
-
     def prefetch(self, attr_sets: list[tuple[int, ...]]) -> None:
-        """Group every non-empty set of ``attr_sets`` now. The searches
-        call this with a node's child attribute sets before they expand
-        it; grouping on demand, in ``group``, gives the same results. It
-        and its call sites remain because the benchmark's span tracer
-        (``perfbench/spans.py``) binds this name."""
-        for s in attr_sets:
-            if s:
-                self.group(s)
+        """Does nothing: every bitmap is built at construction. It and its
+        alias ``_prefetch_batch`` have no caller and remain only because
+        the benchmark's span tracer (``perfbench/spans.py``) binds both
+        names (ROADMAP item 1)."""
 
-    #: No caller: the benchmark's span tracer binds this name too, so it
-    #: stays until the tracer drops it (ROADMAP item 1).
     _prefetch_batch = prefetch
 
-    def stat(self, p: Pattern) -> PatternStat | None:
-        """Stats of one pattern (``None`` if no tuple satisfies it)."""
-        if not p:
-            return PatternStat(self.n, tuple(range(1, self.n + 1)))
-        return self.group(attr_indices(p)).get(pattern_values(p))
+    def stat(self, p: Pattern) -> PatternStat:
+        """Stats of one pattern: the AND of its pairs' value bitmaps. A
+        value combination no tuple has is a size-0 stat."""
+        bits = self._all
+        for a, v in p:
+            bits &= self._bits[a].get(v, 0)
+        return PatternStat(bits.bit_count(), bits)
 
     def size(self, p: Pattern) -> int:
-        s = self.stat(p)
-        return 0 if s is None else s.size
+        return self.stat(p).size
 
     def topk_count(self, p: Pattern, k: int) -> int:
-        s = self.stat(p)
-        return 0 if s is None else s.topk(k)
+        return self.stat(p).topk(k)
 
     def row_at_rank(self, k: int) -> tuple[str, ...]:
         """Pattern-attribute values of ``R(D)[k]``, the k-th ranked tuple
@@ -163,12 +132,14 @@ class PandasStatsStore(BaseStatsStore):
 
 
 class SparkStatsStore(BaseStatsStore):
-    """Pattern statistics over a Spark DataFrame, grouped on the driver.
+    """Pattern statistics over a Spark DataFrame, counted on the driver.
 
     ``df`` must carry the pattern attributes plus a dense 1-based integer
     ``rank`` column (see ``repro.ranking.rankers``). Construction reads it
-    once, with a single ``orderBy(rank).collect()``; every later statistic
-    comes from the collected rows, so the DataFrame is not cached.
+    once, with a single ``orderBy(rank).collect()``; every statistic comes
+    from the bitmaps of the collected rows, so the DataFrame is not cached.
+    ``__init__``, ``_aggregate`` and ``_collect_rows`` are bound by name
+    on this class by the benchmark's span tracer.
     """
 
     def __init__(

@@ -30,11 +30,9 @@ from repro.core.store import BaseStatsStore
 
 
 def child_attr_sets(p: Pattern, n_attrs: int) -> list[tuple[int, ...]]:
-    """The attribute sets spanned by ``p``'s search-tree children, handed
-    to ``store.prefetch`` before an expansion. The store would group them
-    on first lookup anyway; this function and its call sites remain
-    because the benchmark's span tracer (``perfbench/spans.py``) binds
-    them."""
+    """The attribute sets spanned by ``p``'s search-tree children. No
+    caller: the function remains only because the benchmark's span tracer
+    (``perfbench/spans.py``) binds it (ROADMAP item 1)."""
     base = attr_indices(p)
     return [base + (j,) for j in range(max_index(p) + 1, n_attrs)]
 
@@ -51,7 +49,6 @@ def top_down_search(
     :func:`resume_search`."""
     res: set[Pattern] = set()
     dres: set[Pattern] = set()
-    store.prefetch(child_attr_sets(EMPTY, len(store.domains)))
     queue: deque[Pattern] = deque(children(EMPTY, store.domains))
     _drain(store, spec, tau, k, stats, queue, res, dres)
     return res, dres
@@ -69,7 +66,6 @@ def resume_search(
 ) -> None:
     """``searchFromNode``: continue the top-down search from ``node``'s
     search-tree children, updating ``res``/``dres`` in place."""
-    store.prefetch(child_attr_sets(node, len(store.domains)))
     queue: deque[Pattern] = deque(children(node, store.domains))
     _drain(store, spec, tau, k, stats, queue, res, dres)
 
@@ -92,7 +88,7 @@ def _drain(
         if stats.examined % 512 == 0:
             stats.check_deadline()
         st = store.stat(p)
-        if st is None or st.size < tau:
+        if st.size < tau:
             continue
         if spec.violates(st.topk(k), st.size, k, n):
             if has_ancestor_in(p, res):
@@ -100,5 +96,4 @@ def _drain(
             else:
                 res.add(p)
         else:
-            store.prefetch(child_attr_sets(p, len(domains)))
             queue.extend(children(p, domains))

@@ -2,8 +2,8 @@
 patterns-examined / result-size statistics.
 
 Each sweep point builds a *fresh* store per algorithm inside the timed
-run, so the measured time is end to end (store construction and Spark
-aggregations included) for baseline and optimized alike — the paper
+run, so the measured time is end to end (store construction, its value
+bitmaps included) for baseline and optimized alike — the paper
 measures complete runs the same way. ``store_factory`` selects the
 substrate: ``RankedDataset.spark_store`` for the real experiments,
 ``RankedDataset.pandas_store`` for fast smoke tests. A point at which both

@@ -15,10 +15,11 @@ def _fmt(out: RunOutcome) -> tuple[str, str, str]:
 def format_rows(rows: list[dict], x_key: str) -> str:
     """One markdown table per sweep.
 
-    "search s" excludes the shared Spark counting substrate (store
-    construction and aggregations, ``agg_s``) — it is the algorithmic cost
-    the paper's figures compare; "total s" is end to end. The search-time
-    speedup and the patterns-examined gain are the reproduction targets.
+    "search s" excludes the shared counting substrate (store construction:
+    the collected rows and their value bitmaps, ``agg_s``) — it is the
+    algorithmic cost the paper's figures compare; "total s" is end to end.
+    The search-time speedup and the patterns-examined gain are the
+    reproduction targets.
     """
     header = (
         f"| {x_key} | baseline total s | optimized total s | "

@@ -1,6 +1,11 @@
-"""Property test: on any small ranked table — constant columns, duplicate
-rows, nulls, the full k range 1..n, τ_s of 1 or n — ITERTD, GLOBALBOUNDS
-and PROPBOUNDS equal the brute-force reference."""
+"""Property tests on any small ranked table — constant columns, duplicate
+rows, nulls, the full k range 1..n, τ_s of 1 or n:
+
+* ITERTD, GLOBALBOUNDS and PROPBOUNDS equal the brute-force reference;
+* τ-filter: for τ1 ≤ τ2, each algorithm's result at τ2 is its result at
+  τ1 restricted to patterns of size ≥ τ2 (a substantial pattern's
+  ancestors are at least as large, so raising τ_s removes results and
+  adds none)."""
 import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,3 +54,22 @@ def test_algorithms_match_brute_force(table):
     expected = brute_force(*p_args).res
     assert iter_td(*p_args).res == expected
     assert prop_bounds(*p_args, _debug_invariants=True).res == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked_tables(), st.data())
+def test_tau_filter(table, data):
+    store, global_spec, alpha, _ = table
+    n = store.n
+    tau1 = data.draw(st.integers(1, n))
+    tau2 = data.draw(st.integers(tau1, n))
+    for spec, optimized in [
+        (global_spec, global_bounds), (PropSpec(alpha), prop_bounds)
+    ]:
+        for algo in (brute_force, iter_td, optimized):
+            low = algo(store, spec, tau1, 1, n).res
+            high = algo(store, spec, tau2, 1, n).res
+            assert high == {
+                k: frozenset(p for p in res if store.size(p) >= tau2)
+                for k, res in low.items()
+            }, (algo.__name__, tau1, tau2)

@@ -1,4 +1,6 @@
 """Unit tests for the pandas pattern-statistics store (driver-only)."""
+from itertools import product
+
 import pandas as pd
 import pytest
 
@@ -14,8 +16,9 @@ def store():
 
 
 class TestPatternStat:
-    def test_topk_bisect(self):
-        st = PatternStat(4, (2, 5, 9, 11))
+    def test_topk_popcount(self):
+        """Bit ``r − 1`` stands for rank ``r``: ranks 2, 5, 9 and 11."""
+        st = PatternStat(4, sum(1 << (r - 1) for r in (2, 5, 9, 11)))
         assert st.topk(1) == 0
         assert st.topk(2) == 1
         assert st.topk(5) == 2
@@ -29,7 +32,7 @@ class TestStoreBasics:
     def test_root_pattern(self, store):
         st = store.stat(())
         assert st.size == 16
-        assert st.ranks == tuple(range(1, 17))
+        assert st.bits == (1 << 16) - 1
 
     def test_example_2_3(self, store):
         """s_D({School=GP}) = 8; s_{R^5}({School=GP}) = 1."""
@@ -50,7 +53,7 @@ class TestStoreBasics:
         fresh = PandasStatsStore(
             paper_example().pdf, ["Gender", "School", "Address", "Failures"]
         )
-        assert fresh.stat(((0, "X"),)) is None
+        assert fresh.stat(((0, "X"),)) == PatternStat(0, 0)
         assert fresh.size(((0, "X"),)) == 0
         assert fresh.topk_count(((0, "X"),), 5) == 0
 
@@ -61,16 +64,6 @@ class TestStoreBasics:
             ["R", "U"],
             ["0", "1", "2"],
         ]
-
-    def test_memoization(self):
-        s = PandasStatsStore(
-            paper_example().pdf, ["Gender", "School", "Address", "Failures"]
-        )
-        s.group((0,))
-        jobs = s.jobs
-        s.group((0,))
-        s.stat(((0, "F"),))
-        assert s.jobs == jobs
 
     def test_row_at_rank(self, store):
         # Rank 1 is tuple 12: (F, GP, U, 0); rank 5 is tuple 14: (M, MS, U, 1).
@@ -86,9 +79,19 @@ class TestStoreBasics:
             assert store.topk_count(child, k) <= store.topk_count(parent, k)
 
     def test_group_sizes_partition_dataset(self, store):
+        """The value combinations over an attribute set split D: their
+        sizes add up to |D| and their bitmaps are disjoint."""
         for attrs in [(0,), (1,), (0, 1), (0, 1, 2, 3)]:
-            g = store.group(attrs)
-            assert sum(st.size for st in g.values()) == 16
+            stats = [
+                store.stat(tuple(zip(attrs, vals)))
+                for vals in product(*(store.domains[a] for a in attrs))
+            ]
+            assert sum(st.size for st in stats) == 16
+            union = 0
+            for st in stats:
+                assert not union & st.bits
+                union |= st.bits
+            assert union == (1 << 16) - 1
 
     def test_values_normalized_to_str(self):
         pdf = pd.DataFrame({"A": [1, 1, 2], "rank": [1, 2, 3]})

@@ -1,15 +1,18 @@
 """Spark pattern-statistics store: its row source against the pandas
-one, and the ranked Spark table against the DuckDB oracle
-(repro.oracle.assert_equivalent). Both stores group the collected rows with
-the same driver code, so equal rows give equal statistics."""
+one, both stores' counts against pandas boolean masks, and the ranked Spark
+table against the DuckDB oracle (repro.oracle.assert_equivalent). Both
+stores build their value bitmaps from the collected rows with the same
+driver code, so equal rows give equal statistics."""
+from itertools import product
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.pattern import EMPTY
-from repro.core.store import PandasStatsStore, SparkStatsStore
-from repro.core.topdown import child_attr_sets
+from repro.core.store import PandasStatsStore, PatternStat, SparkStatsStore
 from repro.oracle import assert_equivalent
+
+ATTRS = ["Gender", "School", "Address", "Failures"]
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +32,31 @@ def _null_table() -> pd.DataFrame:
     "attrs", [(0,), (1,), (3,), (0, 1), (1, 3), (0, 2, 3), (0, 1, 2, 3)]
 )
 def test_spark_equals_pandas_groups(stores, attrs):
-    """Exact equality of the group dicts, rank arrays included."""
+    """Equal stats, bitmaps included, for every value combination over
+    ``attrs`` and for one value no tuple has."""
     ps, ss = stores
-    assert ss.group(attrs) == ps.group(attrs)
+    for vals in product(*([*ps.domains[a], "X"] for a in attrs)):
+        p = tuple(zip(attrs, vals))
+        assert ss.stat(p) == ps.stat(p)
+
+
+def test_counts_match_boolean_masks(stores, paper_ds_spark):
+    """``size`` and ``topk_count`` of every value combination over the four
+    attributes, for every k, against a pandas boolean-mask count. Each
+    attribute is left free or set to one of its values or to a value no
+    tuple has."""
+    pdf = paper_ds_spark.pdf
+    choices = [[None, "X", *pdf[a].astype(str).unique()] for a in ATTRS]
+    for combo in product(*choices):
+        p = tuple((i, v) for i, v in enumerate(combo) if v is not None)
+        mask = pd.Series(True, index=pdf.index)
+        for i, v in p:
+            mask &= pdf[ATTRS[i]].astype(str) == v
+        ranks = pdf.loc[mask, "rank"]
+        for store in stores:
+            assert store.size(p) == len(ranks), p
+            for k in range(1, len(pdf) + 1):
+                assert store.topk_count(p, k) == (ranks <= k).sum(), (p, k)
 
 
 def test_spark_domains_and_n(stores):
@@ -95,51 +120,27 @@ def test_topk_counts_against_duckdb(paper_ds_spark):
         assert store.topk_count(((1, str(row["School"])),), 5) == row["topk"]
 
 
-def test_construction_runs_no_aggregation(paper_ds_spark):
-    """``n``, ``domains`` and ``row_at_rank`` come from the rows collected
-    at construction, so the root's children sets are still uncached and
-    a prefetch groups each of them once."""
-    ss = paper_ds_spark.spark_store()
-    assert ss.n == 16
-    assert ss.domains == [
-        ["F", "M"], ["GP", "MS"], ["R", "U"], ["0", "1", "2"]
-    ]
-    assert ss.row_at_rank(1) == ("F", "GP", "U", "0")
-    assert ss.jobs == 0
-    sets = child_attr_sets(EMPTY, len(ss.domains))
-    ss.prefetch(sets)
-    assert ss.jobs == len(sets) == 4
-
-
-def test_jobs_counter_tracks_cache_misses(paper_ds_spark):
-    ss = paper_ds_spark.spark_store()
-    assert ss.jobs == 0
-    ss.group((0,))
-    ss.group((0,))
-    ss.group((0, 1))
-    assert ss.jobs == 2
-
-
-class TestPrefetch:
-    """A prefetch groups each missing set once, with the same group dicts
-    as grouping on demand."""
-
-    def test_prefetch_matches_per_set(self, paper_ds_spark):
-        batched = paper_ds_spark.spark_store()
-        sets = [(0,), (1,), (2,), (3,), (0, 1), (0, 3), (1, 2, 3)]
-        batched.prefetch(sets)
-        assert batched.jobs == len(sets)
-        loop = paper_ds_spark.pandas_store()
-        for s in sets:
-            assert batched.group(s) == loop.group(s)
-        assert batched.jobs == len(sets)  # all served from the prefetch
-
-    def test_prefetch_skips_cached_and_empty(self, paper_ds_spark):
+def test_construction_runs_no_aggregation(spark, paper_ds_spark):
+    """``n``, ``domains``, ``row_at_rank`` and every statistic come from
+    the rows collected at construction: the collect is the store's only
+    Spark work, and lookups start no Spark job."""
+    sc = spark.sparkContext
+    tracker = sc.statusTracker()
+    try:
+        sc.setJobGroup("store-build", "store construction")
         ss = paper_ds_spark.spark_store()
-        ss.group((0,))
-        jobs = ss.jobs
-        ss.prefetch([(), (0,)])
-        assert ss.jobs == jobs
+        assert tracker.getJobIdsForGroup("store-build")
+        sc.setJobGroup("store-lookups", "store lookups")
+        assert ss.n == 16
+        assert ss.domains == [
+            ["F", "M"], ["GP", "MS"], ["R", "U"], ["0", "1", "2"]
+        ]
+        assert ss.row_at_rank(1) == ("F", "GP", "U", "0")
+        assert ss.topk_count(((1, "MS"), (2, "R")), 5) == 3
+        assert tracker.getJobIdsForGroup("store-lookups") == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
 
 
 def test_null_is_one_value_in_both_stores(spark):
@@ -149,9 +150,11 @@ def test_null_is_one_value_in_both_stores(spark):
     ps = PandasStatsStore(pdf, ["A", "B"])
     ss = SparkStatsStore(spark.createDataFrame(pdf), ["A", "B"])
     assert ps.domains == ss.domains == [["None", "x", "y"], ["None", "u", "v"]]
-    for attrs in [(0,), (1,), (0, 1)]:
-        assert ps.group(attrs) == ss.group(attrs)
-    assert ps.stat(((0, "None"), (1, "v"))).ranks == (2,)
+    for a, b in product([None, *ps.domains[0]], [None, *ps.domains[1]]):
+        p = tuple((i, v) for i, v in enumerate((a, b)) if v is not None)
+        assert ps.stat(p) == ss.stat(p)
+    assert ps.stat(((0, "None"), (1, "v"))) == PatternStat(1, 0b10)
+    assert ps.stat(((1, "None"),)) == PatternStat(2, 0b1100)
     for k in range(1, 5):
         assert ps.row_at_rank(k) == ss.row_at_rank(k)
     ss.unpersist()
