@@ -1,30 +1,14 @@
 import os
 import sys
 
+from perfbench.workloads import driver_memory
 
-def _driver_mem() -> str:
-    """Heap for the Spark driver JVM: ``SPARK_DRIVER_MEM`` if set, else half
-    the machine's memory clamped to 2–8 GiB (the rule of
-    ``perfbench/workloads.driver_memory``).
-
-    spark.driver.memory is read at JVM launch, not from SparkConf, so it
-    must be in PYSPARK_SUBMIT_ARGS before pyspark is imported anywhere —
-    this runs at conftest import, which pytest loads before any test module.
-    """
-    if m := os.environ.get("SPARK_DRIVER_MEM"):
-        return m
-    try:
-        with open("/proc/meminfo") as f:
-            for line in f:
-                if line.startswith("MemTotal:"):
-                    gib = int(line.split()[1]) // 2097152
-                    return f"{min(max(gib, 2), 8)}g"
-    except (OSError, ValueError, IndexError):
-        pass
-    return "2g"
-
-
-os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
+# Heap for the Spark driver JVM: ``SPARK_DRIVER_MEM`` if set, else the
+# benchmark's rule (half the machine's memory, clamped to 2–8 GiB).
+# spark.driver.memory is read at JVM launch, not from SparkConf, so it must
+# be in PYSPARK_SUBMIT_ARGS before pyspark is imported anywhere — this runs
+# at conftest import, which pytest loads before any test module.
+os.environ.setdefault("SPARK_DRIVER_MEM", driver_memory())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     "--master local[*] "

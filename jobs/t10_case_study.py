@@ -32,7 +32,7 @@ def main(spark=None, fast: bool = False) -> dict:
 
     gb = global_bounds(store, GlobalSpec({K: 10}), tau, K, K).res[K]
     pb = prop_bounds(store, PropSpec(0.8), tau, K, K).res[K]
-    div = divergence_subgroups(ds.df, attrs, k=K, min_support=tau / ds.n)
+    div = divergence_subgroups(store, k=K, min_support=tau / ds.n)
 
     div_patterns = list(div["pattern"])
     our = gb | pb
@@ -54,7 +54,8 @@ def main(spark=None, fast: bool = False) -> dict:
         "|---|---|---|",
     ]
     by_abs = div.reindex(
-        div["divergence"].abs().sort_values(ascending=False).index
+        div["divergence"].abs().sort_values(ascending=False, kind="stable")
+        .index
     )
     for r in by_abs.head(5).itertuples():
         lines.append(

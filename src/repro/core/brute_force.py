@@ -16,7 +16,7 @@ from repro.core.result import SearchResult, SearchStats
 from repro.core.store import BaseStatsStore, PatternStat
 
 
-def _all_substantial(
+def substantial_patterns(
     store: BaseStatsStore, tau: int
 ) -> dict[Pattern, PatternStat]:
     """Every non-empty pattern with size ≥ τ_s: a walk down the search tree
@@ -47,7 +47,7 @@ def brute_force(
 ) -> SearchResult:
     """Reference result: most general substantial violating patterns per k."""
     check_params(store.n, tau, k_min, k_max)
-    substantial = _all_substantial(store, tau)
+    substantial = substantial_patterns(store, tau)
     n = store.n
     res: dict[int, frozenset[Pattern]] = {}
     for k in range(k_min, k_max + 1):

@@ -21,9 +21,10 @@ from:
   ``orderBy(rank).collect()``;
 * :class:`PandasStatsStore` — a ranked pandas DataFrame.
 
-Values are keyed as strings. A null is one value of its own, ``'None'``, in
-both stores, as in Spark and SQL ``GROUP BY``: nulls form a group, appear in
-``domains`` and match patterns such as ``{A=None}``.
+Values are keyed as strings by :func:`value_key`. A null is one value of
+its own, ``'None'``, in both stores, as in Spark and SQL ``GROUP BY``: nulls
+form a group, appear in ``domains`` and match patterns such as
+``{A=None}``.
 """
 from __future__ import annotations
 
@@ -34,6 +35,13 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.pattern import Pattern
+
+
+def value_key(v: object) -> str:
+    """The key of a value in a pattern: ``'None'`` for any null (None,
+    NaN, NaT, ``pd.NA``), as Spark renders a null cast to string, else
+    ``str(v)``."""
+    return "None" if pd.isna(v) else str(v)
 
 
 class PatternStat(NamedTuple):
@@ -123,9 +131,8 @@ class PandasStatsStore(BaseStatsStore):
 
     def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
         ordered = self._pdf.sort_values(self.rank_col)
-        # Any null (None, NaN, NaT) is the value 'None', as Spark renders it.
         return [
-            (rank, tuple("None" if pd.isna(v) else str(v) for v in row))
+            (rank, tuple(value_key(v) for v in row))
             for rank, *row in ordered[[self.rank_col, *self.attr_names]]
             .itertuples(index=False)
         ]
@@ -157,7 +164,7 @@ class SparkStatsStore(BaseStatsStore):
     def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
         rows = self._df.orderBy(self.rank_col).collect()
         return [
-            (r[self.rank_col], tuple(str(r[a]) for a in self.attr_names))
+            (r[self.rank_col], tuple(value_key(r[a]) for a in self.attr_names))
             for r in rows
         ]
 

@@ -8,76 +8,47 @@ has outcome ``o(G)`` = mean outcome of its tuples and divergence
 ``min_support`` (most general or not — unlike the paper's algorithms),
 ranked by divergence.
 
-Implementation: one Spark ``cube`` aggregation over the chosen attributes
-with ``grouping_id`` to recover which attributes each row of the cube
-fixes — all 2^m attribute subsets in a single DataFrame job (the case
-study uses m = 4).
+Implementation: the frequent subgroups are the substantial patterns at
+``τ_s = ⌈min_support · n⌉`` (an integer size reaches ``min_support · n``
+iff it reaches its ceiling), enumerated by brute force's τ_s-pruned
+search-tree walk over the same statistics store the detection algorithms
+read; a subgroup's size and top-k count are ``s_D(p)`` and
+``s_{R^k(D)}(p)``.
 """
 from __future__ import annotations
 
-from typing import Sequence
+import math
 
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.pattern import Pattern
+from repro.core.bounds import check_params
+from repro.core.brute_force import substantial_patterns
+from repro.core.store import BaseStatsStore
 
 
 def divergence_subgroups(
-    df: DataFrame,
-    attrs: Sequence[str],
-    k: int,
-    min_support: float,
-    rank_col: str = "rank",
+    store: BaseStatsStore, k: int, min_support: float
 ) -> pd.DataFrame:
-    """All subgroups over ``attrs`` with support ≥ ``min_support``, with
-    their divergence, most-negative first.
+    """All subgroups over the store's attributes with support ≥
+    ``min_support``, with their divergence, most-negative first (ties by
+    pattern).
 
     Returns a pandas frame with columns ``pattern`` (a
-    ``repro.core.pattern.Pattern`` over the index space of ``attrs``),
-    ``size``, ``outcome`` and ``divergence``.
+    ``repro.core.pattern.Pattern`` over the store's attribute indices),
+    ``size``, ``outcome`` and ``divergence``. Raises ``ValueError`` for
+    ``min_support`` outside ``(0, 1]`` or ``k`` outside ``1..n``.
     """
     if not 0 < min_support <= 1:
         raise ValueError("min_support must be in (0, 1]")
-    attrs = list(attrs)
-    n = df.count()
-    base = df.select(
-        *[F.col(a).cast("string").alias(a) for a in attrs],
-        (F.col(rank_col) <= F.lit(k)).cast("int").alias("topk"),
-    )
-    cube = (
-        base.cube(*attrs)
-        .agg(
-            F.count(F.lit(1)).alias("size"),
-            F.sum("topk").alias("in_topk"),
-            F.grouping_id(*attrs).alias("gid"),
-        )
-        .where(F.col("size") >= float(min_support) * n)
-        .collect()
-    )
+    n = store.n
+    tau = math.ceil(min_support * n)
+    check_params(n, tau, k, k)
     o_d = k / n
     rows = []
-    for r in cube:
-        gid = int(r["gid"])
-        # Bit i of grouping_id (MSB-first over attrs) is 0 iff attr i is
-        # grouped (fixed) in this cube row.
-        fixed = [
-            i
-            for i in range(len(attrs))
-            if not (gid >> (len(attrs) - 1 - i)) & 1
-        ]
-        if not fixed:
-            continue  # the empty pattern (whole dataset) is not a subgroup
-        pattern: Pattern = tuple((i, str(r[attrs[i]])) for i in fixed)
-        outcome = int(r["in_topk"]) / int(r["size"])
-        rows.append(
-            {
-                "pattern": pattern,
-                "size": int(r["size"]),
-                "outcome": outcome,
-                "divergence": outcome - o_d,
-            }
-        )
-    out = pd.DataFrame(rows, columns=["pattern", "size", "outcome", "divergence"])
-    return out.sort_values("divergence").reset_index(drop=True)
+    for p, st in substantial_patterns(store, tau).items():
+        outcome = st.topk(k) / st.size
+        rows.append((p, st.size, outcome, outcome - o_d))
+    rows.sort(key=lambda r: (r[3], r[0]))
+    return pd.DataFrame(
+        rows, columns=["pattern", "size", "outcome", "divergence"]
+    )

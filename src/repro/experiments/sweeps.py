@@ -11,11 +11,11 @@ runs finish raises if their result sets differ.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
-from repro.core.bounds import GlobalSpec, PropSpec, paper_default_global
+from repro.core.bounds import GlobalSpec, PropSpec
 from repro.datasets.base import RankedDataset
 from repro.experiments.runner import RunOutcome, run_algorithm
 
@@ -32,9 +32,15 @@ class Defaults:
     alpha: float = 0.8
 
     def spec(self, problem: str) -> GlobalSpec | PropSpec:
-        return (
-            paper_default_global() if problem == "global"
-            else PropSpec(self.alpha)
+        """The bounds of every sweep: α, or the paper's gradually
+        increasing global bounds ``L_k = k``, a step every 10 positions
+        from ``k_min`` to ``k_max``. At the defaults these are 10/20/30/40,
+        :func:`~repro.core.bounds.paper_default_global`; the k-range sweep
+        widens ``k_max`` and so extends the steps."""
+        if problem == "prop":
+            return PropSpec(self.alpha)
+        return GlobalSpec(
+            {k: k for k in range(self.k_min, self.k_max + 1, 10)}
         )
 
 
@@ -113,16 +119,6 @@ def sweep_tau(
     return rows
 
 
-def _krange_spec(problem: str, k_min: int, k_max: int, defaults: Defaults):
-    """Bounds for the k-range sweep: the paper's gradually-increasing
-    global bounds extended over the widened range (a step every 10
-    positions, as in the default setting), or the default α."""
-    if problem == "prop":
-        return PropSpec(defaults.alpha)
-    steps = {k: k for k in range(k_min, k_max + 1, 10)}
-    return GlobalSpec(steps)
-
-
 def sweep_krange(
     ds: RankedDataset,
     problem: str,
@@ -135,9 +131,9 @@ def sweep_krange(
     (``k_min`` fixed at the default, ``k_max`` varied)."""
     rows = []
     for k_max in k_maxes:
-        spec = _krange_spec(problem, defaults.k_min, k_max, defaults)
+        d = replace(defaults, k_max=k_max)
         point = _point(
-            ds, store_factory, spec, defaults.tau, defaults.k_min, k_max,
+            ds, store_factory, d.spec(problem), d.tau, d.k_min, d.k_max,
             timeout_s,
         )
         rows.append({"dataset": ds.name, "k_max": k_max, **point})

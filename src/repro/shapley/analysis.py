@@ -7,6 +7,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.pattern import Pattern
+from repro.core.store import value_key
 from repro.datasets.base import RankedDataset
 
 
@@ -21,10 +22,11 @@ def top_attributes(
 
 
 def group_mask(ds: RankedDataset, p: Pattern) -> pd.Series:
-    """Boolean mask of tuples satisfying pattern ``p``."""
+    """Boolean mask of tuples satisfying pattern ``p``, whose values are
+    keyed as the stores key them (a null is ``'None'``)."""
     mask = pd.Series(True, index=ds.pdf.index)
     for a, v in p:
-        mask &= ds.pdf[ds.pattern_attrs[a]].astype(str) == v
+        mask &= ds.pdf[ds.pattern_attrs[a]].map(value_key) == v
     return mask
 
 
@@ -36,10 +38,10 @@ def value_distributions(
     counts, because the two sets differ in size)."""
     topk = ds.pdf[ds.rank_col] <= k
     grp = group_mask(ds, p)
-    vals = sorted(ds.pdf[attr].astype(str).unique())
+    keys = ds.pdf[attr].map(value_key)
     rows = []
-    for v in vals:
-        is_v = ds.pdf[attr].astype(str) == v
+    for v in sorted(keys.unique()):
+        is_v = keys == v
         rows.append(
             {
                 "value": v,

@@ -4,13 +4,15 @@ The paper trains ``M_R`` on the dataset's attributes. Our features follow
 ``RankedDataset.numeric_cols``: a pattern attribute backed by a raw numeric
 column uses that column (so e.g. the Student ranker's G3 keeps its full
 0–20 resolution, not the 4 pattern buckets); purely categorical attributes
-are ordinal-encoded over their sorted active domain.
+are ordinal-encoded over their sorted active domain, with values keyed as
+the stores key them (every null is the one value ``'None'``).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
+from repro.core.store import value_key
 from repro.datasets.base import RankedDataset
 
 
@@ -31,9 +33,10 @@ def encode_features(
         if src is not None:
             col = pd.to_numeric(pdf[src]).to_numpy(dtype="float64")
         else:
-            cats = sorted(pdf[attr].astype(str).unique())
+            keys = pdf[attr].map(value_key)
+            cats = sorted(keys.unique())
             mapping = {c: float(i) for i, c in enumerate(cats)}
-            col = pdf[attr].astype(str).map(mapping).to_numpy(dtype="float64")
+            col = keys.map(mapping).to_numpy(dtype="float64")
         cols.append(col)
         names.append(attr)
     X = np.column_stack(cols)

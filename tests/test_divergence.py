@@ -35,16 +35,17 @@ def _pandas_reference(pdf, attrs, k, min_support):
 
 
 @pytest.fixture(scope="module")
-def div_result(paper_ds_spark):
-    return divergence_subgroups(
-        paper_ds_spark.df, paper_ds_spark.pattern_attrs, k=5, min_support=0.2
-    )
+def paper_store(paper_ds):
+    return paper_ds.pandas_store()
 
 
-def test_matches_pandas_reference(paper_ds_spark, div_result):
-    ref = _pandas_reference(
-        paper_ds_spark.pdf, paper_ds_spark.pattern_attrs, 5, 0.2
-    )
+@pytest.fixture(scope="module")
+def div_result(paper_store):
+    return divergence_subgroups(paper_store, k=5, min_support=0.2)
+
+
+def test_matches_pandas_reference(paper_ds, div_result):
+    ref = _pandas_reference(paper_ds.pdf, paper_ds.pattern_attrs, 5, 0.2)
     got = {r.pattern: (r.size, r.outcome) for r in div_result.itertuples()}
     exp = {r["pattern"]: (r["size"], r["outcome"]) for r in ref}
     assert got == exp
@@ -53,18 +54,20 @@ def test_matches_pandas_reference(paper_ds_spark, div_result):
 def test_sorted_most_negative_first(div_result):
     div = div_result["divergence"].to_numpy()
     assert (div[:-1] <= div[1:]).all()
+    # Tied divergences (there are some) follow pattern order.
+    keys = [(r.divergence, r.pattern) for r in div_result.itertuples()]
+    assert len(set(div)) < len(keys)
+    assert keys == sorted(keys)
 
 
-def test_divergence_formula(div_result, paper_ds_spark):
-    n = paper_ds_spark.n
+def test_divergence_formula(div_result, paper_ds):
+    n = paper_ds.n
     for r in div_result.itertuples():
         assert r.divergence == pytest.approx(r.outcome - 5 / n)
 
 
-def test_support_threshold_enforced(paper_ds_spark):
-    out = divergence_subgroups(
-        paper_ds_spark.df, paper_ds_spark.pattern_attrs, k=5, min_support=0.5
-    )
+def test_support_threshold_enforced(paper_store):
+    out = divergence_subgroups(paper_store, k=5, min_support=0.5)
     assert (out["size"] >= 8).all()
 
 
@@ -72,9 +75,15 @@ def test_empty_pattern_excluded(div_result):
     assert all(len(p) >= 1 for p in div_result["pattern"])
 
 
-def test_bad_support_rejected(paper_ds_spark):
+def test_bad_support_rejected(paper_store):
     with pytest.raises(ValueError):
-        divergence_subgroups(paper_ds_spark.df, ["Gender"], 5, 0.0)
+        divergence_subgroups(paper_store, 5, 0.0)
+
+
+@pytest.mark.parametrize("k", [0, 17])
+def test_k_outside_1_to_n_rejected(paper_store, k):
+    with pytest.raises(ValueError):
+        divergence_subgroups(paper_store, k, 0.2)
 
 
 def test_detected_groups_are_frequent_subgroups(student_ds):
@@ -88,9 +97,7 @@ def test_detected_groups_are_frequent_subgroups(student_ds):
     store = view.pandas_store()
     res = prop_bounds(store, PropSpec(0.8), 50, 10, 10).res[10]
     assert len(res) >= 1
-    div = divergence_subgroups(
-        student_ds.df, view.pattern_attrs, k=10, min_support=50 / student_ds.n
-    )
+    div = divergence_subgroups(store, k=10, min_support=50 / student_ds.n)
     assert len(div) >= 5
     table = {r.pattern: r.divergence for r in div.itertuples()}
     for p in res:

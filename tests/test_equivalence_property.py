@@ -5,7 +5,11 @@ rows, nulls, the full k range 1..n, τ_s of 1 or n:
 * τ-filter: for τ1 ≤ τ2, each algorithm's result at τ2 is its result at
   τ1 restricted to patterns of size ≥ τ2 (a substantial pattern's
   ancestors are at least as large, so raising τ_s removes results and
-  adds none)."""
+  adds none);
+* attribute order: on the reversed attribute order each algorithm returns
+  the same groups, with the attribute indices reversed;
+* k-window: a run over ``[k_a, k_b] ⊆ [1, n]`` returns the full run's
+  result at every k it shares."""
 import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +45,15 @@ def ranked_tables(draw):
     return PandasStatsStore(pdf, list(columns)), spec, alpha, tau
 
 
+def _runs(global_spec, alpha):
+    """``(algorithm, spec)`` for the four algorithms under both problems."""
+    for spec, optimized in [
+        (global_spec, global_bounds), (PropSpec(alpha), prop_bounds)
+    ]:
+        for algo in (brute_force, iter_td, optimized):
+            yield algo, spec
+
+
 @settings(max_examples=200, deadline=None)
 @given(ranked_tables())
 def test_algorithms_match_brute_force(table):
@@ -63,13 +76,41 @@ def test_tau_filter(table, data):
     n = store.n
     tau1 = data.draw(st.integers(1, n))
     tau2 = data.draw(st.integers(tau1, n))
-    for spec, optimized in [
-        (global_spec, global_bounds), (PropSpec(alpha), prop_bounds)
-    ]:
-        for algo in (brute_force, iter_td, optimized):
-            low = algo(store, spec, tau1, 1, n).res
-            high = algo(store, spec, tau2, 1, n).res
-            assert high == {
-                k: frozenset(p for p in res if store.size(p) >= tau2)
-                for k, res in low.items()
-            }, (algo.__name__, tau1, tau2)
+    for algo, spec in _runs(global_spec, alpha):
+        low = algo(store, spec, tau1, 1, n).res
+        high = algo(store, spec, tau2, 1, n).res
+        assert high == {
+            k: frozenset(p for p in res if store.size(p) >= tau2)
+            for k, res in low.items()
+        }, (algo.__name__, tau1, tau2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked_tables())
+def test_attribute_order_permutation(table):
+    store, global_spec, alpha, tau = table
+    n, m = store.n, len(store.attr_names)
+    reversed_store = PandasStatsStore(store._pdf, store.attr_names[::-1])
+
+    def remap(p):
+        return tuple(sorted((m - 1 - a, v) for a, v in p))
+
+    for algo, spec in _runs(global_spec, alpha):
+        got = algo(reversed_store, spec, tau, 1, n).res
+        assert {
+            k: frozenset(map(remap, res)) for k, res in got.items()
+        } == algo(store, spec, tau, 1, n).res, algo.__name__
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked_tables(), st.data())
+def test_k_window(table, data):
+    store, global_spec, alpha, tau = table
+    n = store.n
+    k_a = data.draw(st.integers(1, n))
+    k_b = data.draw(st.integers(k_a, n))
+    for algo, spec in _runs(global_spec, alpha):
+        full = algo(store, spec, tau, 1, n).res
+        assert algo(store, spec, tau, k_a, k_b).res == {
+            k: full[k] for k in range(k_a, k_b + 1)
+        }, (algo.__name__, k_a, k_b)

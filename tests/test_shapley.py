@@ -105,6 +105,20 @@ class TestEncodeFeatures:
         # Grade attr absent from paper example pattern attrs → all ordinal.
         assert set(np.unique(X[:, 0])) == {0.0, 1.0}
 
+    def test_nulls_are_one_category(self):
+        """None, NaN and pd.NA are one value in the store, so one code."""
+        import pandas as pd
+
+        from repro.datasets.base import RankedDataset
+
+        pdf = pd.DataFrame({
+            "z": ["b", None, np.nan, "a", pd.NA, "b"],
+            "rank": [4, 1, 6, 2, 5, 3],
+        })
+        X, _, _ = encode_features(RankedDataset("nulls", pdf, ["z"]))
+        # Sorted domain 'None' < 'a' < 'b'.
+        assert X[:, 0].tolist() == [2.0, 0.0, 0.0, 1.0, 0.0, 2.0]
+
 
 class TestAnalysis:
     def test_top_attributes_by_magnitude(self):
@@ -117,6 +131,36 @@ class TestAnalysis:
     def test_group_mask(self, paper_ds):
         mask = group_mask(paper_ds, ((1, "GP"),))
         assert mask.sum() == 8
+
+    def test_nulls_keyed_as_in_the_store(self):
+        """A null is the pattern value 'None' whether the table holds it as
+        None, NaN or pd.NA: every group's mask has the store's size, and a
+        null group's value distribution is a distribution."""
+        import itertools
+
+        import pandas as pd
+
+        from repro.datasets.base import RankedDataset
+
+        pdf = pd.DataFrame({
+            "x": [1.0, np.nan, 2.0, np.nan, 1.0, 3.0],
+            "y": pd.array(["a", pd.NA, "b", "a", pd.NA, None],
+                          dtype="string"),
+            "z": ["a", None, np.nan, "b", pd.NA, "a"],
+            "rank": [4, 1, 6, 2, 5, 3],
+        })
+        ds = RankedDataset("nulls", pdf, ["x", "y", "z"])
+        store = ds.pandas_store()
+        assert all("None" in dom for dom in store.domains)
+        pairs = [(i, v) for i, dom in enumerate(store.domains) for v in dom]
+        patterns = [(pair,) for pair in pairs] + [
+            (a, b) for a, b in itertools.combinations(pairs, 2) if a[0] < b[0]
+        ]
+        for p in patterns:
+            assert group_mask(ds, p).sum() == store.size(p), p
+        dist = value_distributions(ds, ((2, "None"),), "y", 3)
+        assert list(dist["value"]) == ["None", "a", "b"]
+        assert dist["group_frac"].sum() == pytest.approx(1.0)
 
     def test_value_distributions_sum_to_one(self, paper_ds):
         dist = value_distributions(paper_ds, ((1, "GP"),), "Gender", 5)
