@@ -40,8 +40,9 @@ def global_bounds(
     check_params(store.n, tau, k_min, k_max)
     stats = SearchStats(deadline=deadline)
     out: dict[int, frozenset] = {}
+    interned: dict = {}
     res, dres = top_down_search(store, spec, tau, k_min, stats)
-    out[k_min] = frozenset(res)
+    out[k_min] = freeze(res, None, interned)
 
     for k in range(k_min + 1, k_max + 1):
         stats.check_deadline()
@@ -56,7 +57,7 @@ def global_bounds(
             ]
             crossed = False
             for p in affected:
-                stats.examined += 1
+                stats.examine()
                 st = store.stat(p)
                 if not spec.violates(st.topk(k), st.size, k, store.n):
                     # p crossed the bound: drop it and resume the top-down
@@ -70,7 +71,7 @@ def global_bounds(
                 # and dominated (DRes). Steps without crossers leave the
                 # split intact, so the pass is skipped.
                 normalize_frontier(res, dres)
-        out[k] = freeze(res, out[k - 1])
+        out[k] = freeze(res, out[k - 1], interned)
     return SearchResult(res=out, stats=stats)
 
 

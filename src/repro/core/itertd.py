@@ -21,7 +21,8 @@ def iter_td(
     check_params(store.n, tau, k_min, k_max)
     stats = SearchStats(deadline=deadline)
     res = {}
+    interned: dict = {}
     for k in range(k_min, k_max + 1):
         res_k, _ = top_down_search(store, spec, tau, k, stats)
-        res[k] = freeze(res_k, res.get(k - 1))
+        res[k] = freeze(res_k, res.get(k - 1), interned)
     return SearchResult(res=res, stats=stats)

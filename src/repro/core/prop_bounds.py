@@ -25,6 +25,11 @@ stale until step 3, which runs whenever ``Res ∪ DRes`` changed. Nothing
 before it reads the split, and ancestor checks are hashed subpattern
 lookups (:func:`has_ancestor_in`), so a step costs no scan of the frontier.
 
+Expansion and the selective walk carry each node's bitmap down the tree: a
+child's bitmap is its parent's AND one value bitmap. Only ``fire_k_tilde``,
+which reaches ``K`` entries out of tree order, looks patterns up with
+``stat()``.
+
 Deviation from the paper: the paper keeps in ``K`` only entries whose ``k̃``
 decreases monotonically along a search-tree branch (a memory optimisation);
 we keep the ``k̃`` of every passing generated pattern — same output, simpler
@@ -38,13 +43,7 @@ from __future__ import annotations
 
 from repro.core.bounds import PropSpec, check_params
 from repro.core.global_bounds import normalize_frontier
-from repro.core.pattern import (
-    EMPTY,
-    Pattern,
-    children,
-    has_ancestor_in,
-    satisfies,
-)
+from repro.core.pattern import EMPTY, Pattern, has_ancestor_in
 from repro.core.result import SearchResult, SearchStats, freeze
 from repro.core.store import BaseStatsStore
 
@@ -72,17 +71,17 @@ class _PropState:
         self.dirty = False
 
     # -- evaluation / expansion -------------------------------------------
-    def evaluate(self, p: Pattern, k: int, visited: set[Pattern]) -> None:
-        """(Re-)evaluate the status of a generated pattern at position k;
-        expand it on its first pass."""
+    def evaluate(
+        self, p: Pattern, k: int, visited: set[Pattern], bits: int
+    ) -> None:
+        """(Re-)evaluate the status of a generated pattern, whose bitmap is
+        ``bits``, at position k; expand it on its first pass."""
         visited.add(p)
-        self.stats.examined += 1
-        if self.stats.examined % 512 == 0:
-            self.stats.check_deadline()
-        st = self.store.stat(p)
-        c = st.topk(k)
+        self.stats.examine()
+        size = bits.bit_count()
+        c = (bits & ((1 << k) - 1)).bit_count()
         was_violating = p in self.res or p in self.dres
-        if self.spec.violates(c, st.size, k, self.store.n):
+        if self.spec.violates(c, size, k, self.store.n):
             if not was_violating:
                 # promote() places p in Res or DRes at the end of the step.
                 self.K.pop(p, None)
@@ -93,48 +92,49 @@ class _PropState:
             self.res.discard(p)
             self.dres.discard(p)
             self.dirty = True
-        self.K[p] = self.spec.k_tilde(c, st.size, self.store.n)
+        self.K[p] = self.spec.k_tilde(c, size, self.store.n)
         if p not in self.children_of:
-            self.expand(p, k, visited)
+            self.expand(p, k, visited, bits)
 
-    def expand(self, p: Pattern, k: int, visited: set[Pattern]) -> None:
-        """Generate ``p``'s search-tree children (τ_s-substantial only) and
-        evaluate each — recursing through their own expansions."""
+    def expand(
+        self, p: Pattern, k: int, visited: set[Pattern], bits: int
+    ) -> None:
+        """Generate ``p``'s search-tree children from its bitmap ``bits``
+        (τ_s-substantial only) and evaluate each — recursing through their
+        own expansions."""
+        kids = list(self.store.tree_children(p, bits))
+        self.stats.examine(len(kids))
         kept: list[Pattern] = []
         self.children_of[p] = kept
-        for child in children(p, self.store.domains):
-            self.stats.examined += 1
-            st = self.store.stat(child)
-            if st.size < self.tau:
-                continue
-            kept.append(child)
-            self.evaluate(child, k, visited)
+        for child, child_bits in kids:
+            if child_bits.bit_count() >= self.tau:
+                kept.append(child)
+                self.evaluate(child, k, visited, child_bits)
 
     # -- per-step phases ---------------------------------------------------
     def selective_td(self, new_tuple: tuple, k: int, visited: set) -> None:
         """Walk generated nodes satisfied by the new tuple (they form a
-        connected subtree rooted at the empty pattern), re-evaluating each."""
-        stack = [
-            c
-            for c in self.children_of.get(EMPTY, [])
-            if satisfies(new_tuple, c)
-        ]
+        connected subtree rooted at the empty pattern), re-evaluating each.
+        A child of a satisfied node is satisfied iff its last pair is, and
+        its bitmap is the node's AND that pair's value bitmap."""
+        value_bits = self.store.value_bits
+        stack = [(EMPTY, self.store.all_bits)]
         while stack:
-            p = stack.pop()
-            if p not in visited:
-                self.evaluate(p, k, visited)
-            stack.extend(
-                c
-                for c in self.children_of.get(p, [])
-                if c not in visited and satisfies(new_tuple, c)
-            )
+            p, bits = stack.pop()
+            for c in self.children_of.get(p, ()):
+                a, v = c[-1]
+                if new_tuple[a] == v and c not in visited:
+                    c_bits = bits & value_bits[a][v]
+                    self.evaluate(c, k, visited, c_bits)
+                    stack.append((c, c_bits))
 
     def fire_k_tilde(self, k: int, visited: set[Pattern]) -> None:
         """Patterns whose ``k̃`` has been reached without a count change are
-        now violating (Algorithm 3, line 6)."""
+        now violating (Algorithm 3, line 6). ``K`` is not in tree order, so
+        each pattern's bitmap comes from ``stat()``."""
         due = [p for p, kt in self.K.items() if kt <= k and p not in visited]
         for p in due:
-            self.evaluate(p, k, visited)
+            self.evaluate(p, k, visited, self.store.stat(p).bits)
 
     def promote(self) -> None:
         """Normalize the violating frontier: Res = most general violating
@@ -178,9 +178,11 @@ def prop_bounds(
     stats = SearchStats(deadline=deadline)
     s = _PropState(store, spec, tau, stats)
     visited: set[Pattern] = set()
-    s.expand(EMPTY, k_min, visited)  # full top-down search for k_min
+    # Full top-down search for k_min.
+    s.expand(EMPTY, k_min, visited, store.all_bits)
     s.promote()
-    out = {k_min: frozenset(s.res)}
+    interned: dict = {}
+    out = {k_min: freeze(s.res, None, interned)}
     if _debug_invariants:
         s.check_invariants(k_min)
 
@@ -191,7 +193,7 @@ def prop_bounds(
         s.selective_td(new_tuple, k, visited)
         s.fire_k_tilde(k, visited)
         s.promote()
-        out[k] = freeze(s.res, out[k - 1])
+        out[k] = freeze(s.res, out[k - 1], interned)
         if _debug_invariants:
             s.check_invariants(k)
     return SearchResult(res=out, stats=stats)

@@ -30,11 +30,31 @@ class SearchStats:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout(f"examined={self.examined}")
 
+    def examine(self, count: int = 1) -> None:
+        """Add ``count`` examined patterns, checking the deadline whenever
+        the total crosses a multiple of 512 — however many are added at
+        once, so the check's cadence does not depend on the batching."""
+        before = self.examined
+        self.examined = before + count
+        if self.examined >> 9 != before >> 9:
+            self.check_deadline()
 
-def freeze(res: set[Pattern], prev: frozenset[Pattern] | None) -> frozenset:
+
+def freeze(
+    res: set[Pattern],
+    prev: frozenset[Pattern] | None,
+    interned: dict[Pattern, Pattern],
+) -> frozenset:
     """``res`` as the result set of a step: ``prev``, the previous step's
-    set, when they are equal, so runs of unchanged steps share one set."""
-    return prev if prev == res else frozenset(res)
+    set, when they are equal, so runs of unchanged steps share one set.
+    Otherwise each pattern is replaced by its first copy in ``interned``
+    (one dict per run), so a run's result sets hold one object per
+    distinct pattern however often the search rebuilt it."""
+    if prev == res:
+        return prev
+    # Via a set: a frozenset copied from a set is sized to fit, one grown
+    # from a generator keeps up to twice the slots.
+    return frozenset({interned.setdefault(p, p) for p in res})
 
 
 @dataclass

@@ -9,9 +9,12 @@ Zaki's Eclat. A pattern's bitmap is the AND of its pairs' bitmaps, so
 popcount under a k-bit mask — one set of bitmaps serves the entire k-range
 and every algorithm, so runtime differences between ITERTD and the
 optimized algorithms reflect patterns examined (the paper's metric), not
-redundant counting. Pattern bitmaps are recomputed on every lookup, never
-cached, so a store's memory grows with the number of values, not with the
-patterns examined.
+redundant counting. Pattern bitmaps are never cached: the search derives
+each child's bitmap from its parent's (:meth:`BaseStatsStore.tree_children`,
+one AND per child, as Eclat extends a prefix's tidset by one item's);
+``stat()`` serves patterns reached out of tree order and the oracle. So a
+store's memory grows with the number of values, not with the patterns
+examined.
 
 Both stores build the bitmaps on the driver, one pass per attribute
 (``BaseStatsStore._aggregate``); they differ only in where the rows come
@@ -28,7 +31,7 @@ form a group, appear in ``domains`` and match patterns such as
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -68,11 +71,26 @@ class BaseStatsStore:
             raise ValueError(f"{rank_col!r} must be exactly 1..n")
         #: Pattern-attribute values of the tuple at rank k, at ``k - 1``.
         self._rows = [row for _, row in ranked]
-        self._all = (1 << self.n) - 1
+        #: The bitmap of the empty pattern: every tuple.
+        self.all_bits = (1 << self.n) - 1
         #: ``{value: bitmap}`` of each attribute, at its index.
-        self._bits = [self._aggregate(i) for i in range(len(self.attr_names))]
+        self.value_bits = [
+            self._aggregate(i) for i in range(len(self.attr_names))
+        ]
         #: Active domain of each attribute, sorted for determinism.
-        self.domains: list[list[str]] = [sorted(b) for b in self._bits]
+        self.domains: list[list[str]] = [sorted(b) for b in self.value_bits]
+        #: At ``j``: the ``(((a, v),), bitmap)`` extension of every pair
+        #: over attributes ``a ≥ j``, in domain order — the search-tree
+        #: children of a pattern whose largest attribute index is ``j − 1``.
+        m = len(self.domains)
+        self._tails: list[list[tuple[Pattern, int]]] = [
+            [
+                (((a, v),), self.value_bits[a][v])
+                for a in range(j, m)
+                for v in self.domains[a]
+            ]
+            for j in range(m + 1)
+        ]
 
     def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
         """``(rank, pattern-attribute values)`` of every tuple, ordered by
@@ -100,10 +118,20 @@ class BaseStatsStore:
     def stat(self, p: Pattern) -> PatternStat:
         """Stats of one pattern: the AND of its pairs' value bitmaps. A
         value combination no tuple has is a size-0 stat."""
-        bits = self._all
+        bits = self.all_bits
         for a, v in p:
-            bits &= self._bits[a].get(v, 0)
+            bits &= self.value_bits[a].get(v, 0)
         return PatternStat(bits.bit_count(), bits)
+
+    def tree_children(
+        self, p: Pattern, bits: int
+    ) -> Iterator[tuple[Pattern, int]]:
+        """``p``'s search-tree children with their bitmaps, given ``p``'s
+        bitmap ``bits``: ``child = p + (A_j = v)`` and ``child_bits = bits
+        & bitmap(A_j = v)``, in the order of
+        :func:`~repro.core.pattern.children`."""
+        for ext, value_bits in self._tails[p[-1][0] + 1 if p else 0]:
+            yield p + ext, bits & value_bits
 
     def size(self, p: Pattern) -> int:
         return self.stat(p).size

@@ -8,6 +8,12 @@ anti-monotone along pattern-graph edges):
   are also violating, hence not most general);
 * otherwise expand ``p``'s search-tree children (Definition 4.1).
 
+The queue holds ``(pattern, bitmap)`` pairs: a child's bitmap is its
+parent's AND one value bitmap (:meth:`BaseStatsStore.tree_children`), so
+only the start node is looked up with ``stat()``. The τ_s test runs when a
+child is generated: every generated child counts as examined, and a pruned
+one never enters the queue.
+
 ``update`` adds a violating pattern to ``Res`` unless a pattern-graph
 ancestor is already in ``Res``; rejected patterns are recorded in ``DRes``
 (the paper's bookkeeping reused by GLOBALBOUNDS for incremental restarts).
@@ -21,7 +27,6 @@ from repro.core.pattern import (
     EMPTY,
     Pattern,
     attr_indices,
-    children,
     has_ancestor_in,
     max_index,
 )
@@ -49,8 +54,7 @@ def top_down_search(
     :func:`resume_search`."""
     res: set[Pattern] = set()
     dres: set[Pattern] = set()
-    queue: deque[Pattern] = deque(children(EMPTY, store.domains))
-    _drain(store, spec, tau, k, stats, queue, res, dres)
+    _search_below(store, spec, tau, k, stats, EMPTY, res, dres)
     return res, dres
 
 
@@ -66,34 +70,48 @@ def resume_search(
 ) -> None:
     """``searchFromNode``: continue the top-down search from ``node``'s
     search-tree children, updating ``res``/``dres`` in place."""
-    queue: deque[Pattern] = deque(children(node, store.domains))
-    _drain(store, spec, tau, k, stats, queue, res, dres)
+    _search_below(store, spec, tau, k, stats, node, res, dres)
 
 
-def _drain(
+def _search_below(
     store: BaseStatsStore,
     spec: GlobalSpec | PropSpec,
     tau: int,
     k: int,
     stats: SearchStats,
-    queue: deque[Pattern],
+    node: Pattern,
     res: set[Pattern],
     dres: set[Pattern],
 ) -> None:
+    """BFS over ``node``'s search-tree subtree, ``node`` excluded. The
+    start node is reached out of tree order (the root, or a GLOBALBOUNDS
+    crosser), so its bitmap comes from ``stat()``; every node below
+    derives its own from its parent's."""
     n = store.n
-    domains = store.domains
+    mask = (1 << k) - 1
+    queue: deque[tuple[Pattern, int]] = deque()
+    _push_children(store, tau, stats, queue, node, store.stat(node).bits)
     while queue:
-        p = queue.popleft()
-        stats.examined += 1
-        if stats.examined % 512 == 0:
-            stats.check_deadline()
-        st = store.stat(p)
-        if st.size < tau:
-            continue
-        if spec.violates(st.topk(k), st.size, k, n):
+        p, bits = queue.popleft()
+        if spec.violates((bits & mask).bit_count(), bits.bit_count(), k, n):
             if has_ancestor_in(p, res):
                 dres.add(p)
             else:
                 res.add(p)
         else:
-            queue.extend(children(p, domains))
+            _push_children(store, tau, stats, queue, p, bits)
+
+
+def _push_children(
+    store: BaseStatsStore,
+    tau: int,
+    stats: SearchStats,
+    queue: deque[tuple[Pattern, int]],
+    p: Pattern,
+    bits: int,
+) -> None:
+    """Examine ``p``'s search-tree children and queue the substantial
+    ones with their bitmaps."""
+    kids = list(store.tree_children(p, bits))
+    stats.examine(len(kids))
+    queue.extend(kid for kid in kids if kid[1].bit_count() >= tau)

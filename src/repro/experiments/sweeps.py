@@ -7,7 +7,8 @@ bitmaps included) for baseline and optimized alike — the paper
 measures complete runs the same way. ``store_factory`` selects the
 substrate: ``RankedDataset.spark_store`` for the real experiments,
 ``RankedDataset.pandas_store`` for fast smoke tests. A point at which both
-runs finish raises if their result sets differ.
+runs finish raises if their result sets differ, and a τ_s sweep raises if a
+finished row is not the smallest-τ finished row filtered by size.
 """
 from __future__ import annotations
 
@@ -116,7 +117,38 @@ def sweep_tau(
             defaults.k_min, defaults.k_max, timeout_s,
         )
         rows.append({"dataset": ds.name, "tau": tau, **point})
+    _check_tau_filter(ds, store_factory, rows)
     return rows
+
+
+def _check_tau_filter(
+    ds: RankedDataset, store_factory: StoreFactory, rows: list[dict]
+) -> None:
+    """Raise unless every finished row of a τ_s sweep is the smallest-τ
+    finished row filtered by size: ``Res_{τ2}(k) = {p ∈ Res_{τ1}(k) :
+    s_D(p) ≥ τ2}`` for ``τ1 ≤ τ2`` (a substantial pattern's ancestors are
+    at least as large, so raising τ_s removes results and adds none)."""
+    finished = [
+        (row["tau"], out.res)
+        for row in rows
+        for out in (row["baseline"], row["optimized"])
+        if not out.timed_out
+    ]
+    if len({tau for tau, _ in finished}) < 2:
+        return
+    tau1, low = min(finished, key=lambda f: f[0])
+    store = store_factory(ds)
+    size = {p: store.size(p) for groups in low.values() for p in groups}
+    for tau2, res in finished:
+        expected = {
+            k: frozenset(p for p in groups if size[p] >= tau2)
+            for k, groups in low.items()
+        }
+        if res != expected:
+            raise RuntimeError(
+                f"{ds.name}: the result sets at tau={tau2} are not those at "
+                f"tau={tau1} filtered by size"
+            )
 
 
 def sweep_krange(

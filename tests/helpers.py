@@ -1,11 +1,16 @@
 """Test helpers: randomized ranked datasets (driver-only) for the
-algorithm-equivalence grids, and random bound specs."""
+algorithm-equivalence grids, random bound specs, and the check of a
+store's derived child bitmaps."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pandas as pd
 
 from repro.core.bounds import GlobalSpec
+from repro.core.pattern import EMPTY, children
+from repro.core.store import BaseStatsStore, PatternStat
 from repro.datasets.base import RankedDataset
 
 
@@ -55,3 +60,22 @@ def random_params(seed: int, n: int) -> dict:
         "global_spec": GlobalSpec(steps),
         "alpha": float(rng.uniform(0.3, 1.5)),
     }
+
+
+def assert_tree_children_match_stat(store: BaseStatsStore) -> int:
+    """Walk the whole search tree through ``store.tree_children``, from
+    the empty pattern's bitmap, without τ_s pruning. At every node the
+    children come in :func:`children` order, and each derived bitmap
+    equals the child's ``stat()`` in size and bits. The walk reaches every
+    non-empty value combination over every attribute subset."""
+    checked = 0
+    stack = [(EMPTY, store.all_bits)]
+    while stack:
+        p, bits = stack.pop()
+        kids = list(store.tree_children(p, bits))
+        assert [c for c, _ in kids] == list(children(p, store.domains)), p
+        for c, c_bits in kids:
+            assert store.stat(c) == PatternStat(c_bits.bit_count(), c_bits), c
+        checked += len(kids)
+        stack.extend(kids)
+    assert checked == math.prod(len(d) + 1 for d in store.domains) - 1

@@ -9,7 +9,10 @@ rows, nulls, the full k range 1..n, τ_s of 1 or n:
 * attribute order: on the reversed attribute order each algorithm returns
   the same groups, with the attribute indices reversed;
 * k-window: a run over ``[k_a, k_b] ⊆ [1, n]`` returns the full run's
-  result at every k it shares."""
+  result at every k it shares;
+* each algorithm's result dict holds one object per distinct pattern;
+* the store derives every search-tree child's bitmap from its parent's as
+  ``stat()`` computes it from scratch."""
 import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from repro.core import GlobalSpec, PandasStatsStore, PropSpec, iter_td
 from repro.core.brute_force import brute_force
 from repro.core.global_bounds import global_bounds
 from repro.core.prop_bounds import prop_bounds
+from tests.helpers import assert_tree_children_match_stat
 
 
 @st.composite
@@ -114,3 +118,22 @@ def test_k_window(table, data):
         assert algo(store, spec, tau, k_a, k_b).res == {
             k: full[k] for k in range(k_a, k_b + 1)
         }, (algo.__name__, k_a, k_b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked_tables())
+def test_one_object_per_distinct_pattern(table):
+    store, global_spec, alpha, tau = table
+    n = store.n
+    for algo, spec in _runs(global_spec, alpha):
+        res = algo(store, spec, tau, 1, n).res
+        patterns = [p for groups in res.values() for p in groups]
+        assert len({id(p) for p in patterns}) == len(set(patterns)), (
+            algo.__name__
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked_tables())
+def test_tree_children_match_stat(table):
+    assert_tree_children_match_stat(table[0])

@@ -13,7 +13,7 @@ from repro.experiments import (
     sweep_num_attrs,
     sweep_tau,
 )
-from repro.experiments import runner
+from repro.experiments import runner, sweeps
 from repro.experiments.runner import run_algorithm
 from repro.experiments.shapley_exp import pick_group
 from repro.experiments.sweeps import Defaults, examined_gain
@@ -137,6 +137,27 @@ class TestSweeps:
             sweep_tau(
                 paper_ds, "global", [2], RankedDataset.pandas_store, SMALL,
                 None,
+            )
+
+    def test_tau_row_must_filter_smallest_tau_row(
+        self, paper_ds, monkeypatch
+    ):
+        """A τ_s sweep checks each finished row against the smallest-τ
+        one: a row that gains a pattern, in both of its runs so that the
+        point itself agrees, stops the sweep."""
+        run = sweeps.run_algorithm
+
+        def add_one(factory, algo, spec, tau, *args):
+            out = run(factory, algo, spec, tau, *args)
+            if tau == 4:
+                out.res[10] = out.res[10] | {((0, "F"),)}
+            return out
+
+        monkeypatch.setattr(sweeps, "run_algorithm", add_one)
+        with pytest.raises(RuntimeError, match="filtered by size"):
+            sweep_tau(
+                paper_ds, "global", [2, 4], RankedDataset.pandas_store,
+                SMALL, None,
             )
 
     def test_examined_gain_positive_on_wide_range(self, paper_ds):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.store import PandasStatsStore, PatternStat
 from repro.datasets.paper_example import paper_example
+from tests.helpers import assert_tree_children_match_stat
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +93,9 @@ class TestStoreBasics:
                 assert not union & st.bits
                 union |= st.bits
             assert union == (1 << 16) - 1
+
+    def test_tree_children_match_stat(self, store):
+        assert_tree_children_match_stat(store)
 
     def test_values_normalized_to_str(self):
         pdf = pd.DataFrame({"A": [1, 1, 2], "rank": [1, 2, 3]})

@@ -11,6 +11,7 @@ from pyspark.sql import functions as F
 
 from repro.core.store import PandasStatsStore, PatternStat, SparkStatsStore
 from repro.oracle import assert_equivalent
+from tests.helpers import assert_tree_children_match_stat
 
 ATTRS = ["Gender", "School", "Address", "Failures"]
 
@@ -157,7 +158,16 @@ def test_null_is_one_value_in_both_stores(spark):
     assert ps.stat(((1, "None"),)) == PatternStat(2, 0b1100)
     for k in range(1, 5):
         assert ps.row_at_rank(k) == ss.row_at_rank(k)
+    for store in (ps, ss):
+        assert_tree_children_match_stat(store)
     ss.unpersist()
+
+
+def test_tree_children_match_stat(stores):
+    """Both row sources derive every child bitmap of the paper example's
+    search tree as ``stat()`` computes it."""
+    for store in stores:
+        assert_tree_children_match_stat(store)
 
 
 @pytest.mark.parametrize("ranks", [[1, 3], [1, 1], [0, 1]])

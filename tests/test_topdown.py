@@ -1,7 +1,11 @@
 """Tests for Algorithm 1 (single-k top-down search) and Proposition 4.3."""
+import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core import GlobalSpec, PropSpec
+from repro.core import GlobalSpec, PandasStatsStore, PropSpec, iter_td
+from repro.core.global_bounds import global_bounds
+from repro.core.prop_bounds import prop_bounds
 from repro.core.pattern import EMPTY, satisfies
 from repro.core.result import SearchStats, SearchTimeout
 from repro.core.topdown import top_down_search
@@ -10,16 +14,18 @@ from tests.helpers import make_random_ranked
 
 
 class _RecordingStore:
-    """Proxy store that records every pattern whose stats the search
-    evaluates — i.e. the nodes of the search tree T_k."""
+    """Proxy store that records every child its child generator yields —
+    the patterns the search examines, i.e. the nodes of the search tree
+    T_k."""
 
     def __init__(self, inner):
         self._inner = inner
         self.queried = []
 
-    def stat(self, p):
-        self.queried.append(p)
-        return self._inner.stat(p)
+    def tree_children(self, p, bits):
+        for child, child_bits in self._inner.tree_children(p, bits):
+            self.queried.append(child)
+            yield child, child_bits
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -58,6 +64,7 @@ def test_examined_counter_counts_pops(paper_ds):
     stats = SearchStats()
     rec = _RecordingStore(paper_ds.pandas_store())
     top_down_search(rec, GlobalSpec({4: 2}), 4, 4, stats)
+    assert rec.queried
     assert stats.examined == len(rec.queried)
 
 
@@ -70,6 +77,7 @@ def test_proposition_4_3(paper_ds, k, spec):
     rec = _RecordingStore(store)
     top_down_search(rec, spec, 1, k, SearchStats())
     nodes = [p for p in rec.queried if p != EMPTY]
+    assert nodes
     new_tuple = store.row_at_rank(k + 1)
     satisfied = sum(1 for p in nodes if satisfies(new_tuple, p))
     assert satisfied <= len(nodes) / 2
@@ -83,6 +91,38 @@ def test_proposition_4_3_random(seed):
     k = 10
     top_down_search(rec, PropSpec(0.9), 1, k, SearchStats())
     nodes = [p for p in rec.queried if p != EMPTY]
+    assert nodes
     new_tuple = store.row_at_rank(k + 1)
     satisfied = sum(1 for p in nodes if satisfies(new_tuple, p))
     assert satisfied <= len(nodes) / 2
+
+
+def _wide_store():
+    """200 random rows over 6 attributes of 3 values each: with ``k = n``
+    nothing violates, so the first search walks the whole substantial
+    tree."""
+    rng = np.random.default_rng(5)
+    pdf = pd.DataFrame({
+        f"A{i}": rng.integers(0, 3, 200).astype(str) for i in range(6)
+    })
+    pdf["rank"] = rng.permutation(200) + 1
+    return PandasStatsStore(pdf, [f"A{i}" for i in range(6)])
+
+
+@pytest.mark.parametrize(
+    "algo, spec",
+    [(iter_td, GlobalSpec({1: 0})), (global_bounds, GlobalSpec({1: 0})),
+     (prop_bounds, PropSpec(0.8))],
+    ids=["iter_td", "global_bounds", "prop_bounds"],
+)
+def test_expired_deadline_stops_soon_after_512(algo, spec):
+    """The deadline is checked whenever ``examined`` crosses a multiple of
+    512, however the count grows, so an expired deadline stops the first
+    search within one expansion after 512 examined patterns."""
+    store = _wide_store()
+    n = store.n
+    assert algo(store, spec, 1, n, n).stats.examined > 4 * 512
+    with pytest.raises(SearchTimeout) as err:
+        algo(store, spec, 1, n, n, deadline=0.0)
+    examined = int(str(err.value).removeprefix("examined="))
+    assert 512 <= examined < 512 + sum(len(d) for d in store.domains)
