@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.core.bounds import GlobalSpec, PropSpec, check_params
 from repro.core.result import SearchResult, SearchStats, freeze
 from repro.core.store import BaseStatsStore
-from repro.core.topdown import top_down_search
+from repro.core.topdown import normalize_frontier, top_down_search
 
 
 def iter_td(
@@ -23,6 +23,6 @@ def iter_td(
     res = {}
     interned: dict = {}
     for k in range(k_min, k_max + 1):
-        res_k, _ = top_down_search(store, spec, tau, k, stats)
+        res_k = normalize_frontier(top_down_search(store, spec, tau, k, stats))
         res[k] = freeze(res_k, res.get(k - 1), interned)
     return SearchResult(res=res, stats=stats)

@@ -9,21 +9,20 @@ stays fixed — in the map ``K``. Each step k:
 
 1. ``selectiveTD``: walk the generated search tree along nodes satisfied by
    the new tuple ``R(D)[k]`` (only their counts changed) and re-evaluate
-   each: a violating node that crossed back to passing leaves Res/DRes,
-   gets a fresh ``k̃`` and is expanded (children generated on first
-   expansion); a passing node gets a recomputed ``k̃``; a passing node that
-   turned violating moves into DRes.
+   each: a violating node that crossed back to passing leaves the
+   violating set, gets a fresh ``k̃`` and is expanded (children generated on
+   first expansion); a passing node gets a recomputed ``k̃``; a passing node
+   that turned violating joins the violating set.
 2. ``K`` entries with ``k̃ ≤ k`` not satisfied by the new tuple (their count
    is unchanged, so the bound has caught up with them) become violating.
-3. ``promote`` recomputes the Res/DRes split in closed form.
+3. ``promote`` re-derives ``Res`` from the violating set with
+   :func:`~repro.core.topdown.normalize_frontier`.
 
 Bookkeeping keeps each fact once. A generated pattern is violating iff it
-is in ``Res ∪ DRes`` and passing iff it is in ``K``; it has been expanded
-iff it is a key of ``children_of``. Within a step a pattern that turns
-violating goes to DRes without an ancestor check, so the split may be
-stale until step 3, which runs whenever ``Res ∪ DRes`` changed. Nothing
-before it reads the split, and ancestor checks are hashed subpattern
-lookups (:func:`has_ancestor_in`), so a step costs no scan of the frontier.
+is in ``violating`` and passing iff it is in ``K``; it has been expanded
+iff it is a key of ``children_of``. Step 3 runs whenever ``violating``
+changed, and nothing before it reads ``Res``. The paper's ``DRes`` is not
+stored: it is ``violating − Res``, read only by the invariant check.
 
 Expansion and the selective walk carry each node's bitmap down the tree: a
 child's bitmap is its parent's AND one value bitmap. Only ``fire_k_tilde``,
@@ -35,17 +34,17 @@ decreases monotonically along a search-tree branch (a memory optimisation);
 we keep the ``k̃`` of every passing generated pattern — same output, simpler
 bookkeeping (see DESIGN.md §2).
 
-Invariants (checked in tests via ``check_invariants``): ``Res ∪ DRes`` is
+Invariants (checked in tests via ``check_invariants``): ``violating`` is
 the set of generated currently-violating patterns, ``Res`` its most general
 subset; ``K`` holds the other generated patterns, each expanded.
 """
 from __future__ import annotations
 
 from repro.core.bounds import PropSpec, check_params
-from repro.core.global_bounds import normalize_frontier
 from repro.core.pattern import EMPTY, Pattern, has_ancestor_in
 from repro.core.result import SearchResult, SearchStats, freeze
 from repro.core.store import BaseStatsStore
+from repro.core.topdown import normalize_frontier
 
 
 class _PropState:
@@ -62,13 +61,19 @@ class _PropState:
         self.spec = spec
         self.tau = tau
         self.stats = stats
+        self.violating: set[Pattern] = set()
+        #: The most general members of ``violating``, set by promote().
         self.res: set[Pattern] = set()
-        self.dres: set[Pattern] = set()
         self.K: dict[Pattern, int] = {}  # k̃ of passing patterns
         self.children_of: dict[Pattern, list[Pattern]] = {}
-        #: Set when ``Res ∪ DRes`` changes; the promote() pass only runs
+        #: Set when ``violating`` changes; the promote() pass only runs
         #: when the frontier actually changed this step.
         self.dirty = False
+
+    @property
+    def dres(self) -> set[Pattern]:
+        """The paper's ``DRes``: the violating patterns not in ``Res``."""
+        return self.violating - self.res
 
     # -- evaluation / expansion -------------------------------------------
     def evaluate(
@@ -80,17 +85,15 @@ class _PropState:
         self.stats.examine()
         size = bits.bit_count()
         c = (bits & ((1 << k) - 1)).bit_count()
-        was_violating = p in self.res or p in self.dres
+        was_violating = p in self.violating
         if self.spec.violates(c, size, k, self.store.n):
             if not was_violating:
-                # promote() places p in Res or DRes at the end of the step.
                 self.K.pop(p, None)
-                self.dres.add(p)
+                self.violating.add(p)
                 self.dirty = True
             return
         if was_violating:
-            self.res.discard(p)
-            self.dres.discard(p)
+            self.violating.discard(p)
             self.dirty = True
         self.K[p] = self.spec.k_tilde(c, size, self.store.n)
         if p not in self.children_of:
@@ -137,30 +140,30 @@ class _PropState:
             self.evaluate(p, k, visited, self.store.stat(p).bits)
 
     def promote(self) -> None:
-        """Normalize the violating frontier: Res = most general violating
-        generated patterns (no violating ancestor in Res ∪ DRes), DRes the
-        rest. A closed-form pass is order-independent, so it settles every
-        mid-step transition: new violators parked in DRes, crossers removed
-        before their descendants were seen. Skipped when ``Res ∪ DRes`` did
-        not change this step (the split cannot have changed)."""
+        """Re-derive ``Res``, the most general violating generated
+        patterns. A closed-form pass is order-independent, so it settles
+        every mid-step transition: new violators, crossers removed before
+        their descendants were seen. Skipped when ``violating`` did not
+        change this step (``Res`` cannot have changed)."""
         if not self.dirty:
             return
         self.dirty = False
-        normalize_frontier(self.res, self.dres)
+        self.res = normalize_frontier(self.violating)
 
     def check_invariants(self, k: int) -> None:
         """Debug/test hook: verify the documented invariants at position k."""
         n = self.store.n
-        for p in self.res | self.dres:
+        assert self.res <= self.violating
+        for p in self.violating:
             st = self.store.stat(p)
             assert self.spec.violates(st.topk(k), st.size, k, n), p
         for p in self.res:
-            assert not has_ancestor_in(p, (self.res | self.dres) - {p}), p
+            assert not has_ancestor_in(p, self.violating), p
         for d in self.dres:
             assert has_ancestor_in(d, self.res), d
         for p, kt in self.K.items():
             assert kt > k and p in self.children_of, (p, kt, k)
-            assert p not in self.res and p not in self.dres, p
+            assert p not in self.violating, p
 
 
 def prop_bounds(

@@ -42,8 +42,7 @@ from repro.core.pattern import Pattern
 
 def value_key(v: object) -> str:
     """The key of a value in a pattern: ``'None'`` for any null (None,
-    NaN, NaT, ``pd.NA``), as Spark renders a null cast to string, else
-    ``str(v)``."""
+    NaN, NaT, ``pd.NA``), else ``str(v)``."""
     return "None" if pd.isna(v) else str(v)
 
 
@@ -173,6 +172,9 @@ class SparkStatsStore(BaseStatsStore):
     ``rank`` column (see ``repro.ranking.rankers``). Construction reads it
     once, with a single ``orderBy(rank).collect()``; every statistic comes
     from the bitmaps of the collected rows, so the DataFrame is not cached.
+    The attributes are collected as they are typed and keyed on the driver
+    with :func:`value_key`, as the pandas store keys its cells, so both
+    stores give a value, a NaN included, the same key.
     ``__init__``, ``_aggregate`` and ``_collect_rows`` are bound by name
     on this class by the benchmark's span tracer.
     """
@@ -184,8 +186,7 @@ class SparkStatsStore(BaseStatsStore):
         rank_col: str = "rank",
     ):
         self._df = df.select(
-            *[F.col(a).cast("string").alias(a) for a in attr_names],
-            F.col(rank_col).cast("long").alias(rank_col),
+            *attr_names, F.col(rank_col).cast("long").alias(rank_col)
         )
         super().__init__(attr_names, rank_col)
 

@@ -4,8 +4,8 @@ BFS from the children of the empty pattern. Pruning rules (both counts are
 anti-monotone along pattern-graph edges):
 
 * ``s_D(p) < τ_s`` — prune ``p`` and its subtree (descendants are smaller);
-* ``p`` violating — report via ``update`` and do *not* expand (descendants
-  are also violating, hence not most general);
+* ``p`` violating — add it to the violating set and do *not* expand
+  (descendants are also violating, hence not most general);
 * otherwise expand ``p``'s search-tree children (Definition 4.1).
 
 The queue holds ``(pattern, bitmap)`` pairs: a child's bitmap is its
@@ -14,9 +14,12 @@ only the start node is looked up with ``stat()``. The τ_s test runs when a
 child is generated: every generated child counts as examined, and a pruned
 one never enters the queue.
 
-``update`` adds a violating pattern to ``Res`` unless a pattern-graph
-ancestor is already in ``Res``; rejected patterns are recorded in ``DRes``
-(the paper's bookkeeping reused by GLOBALBOUNDS for incremental restarts).
+The search collects one set: the generated patterns that violate. The
+paper's ``update`` splits them on the fly into ``Res``, the most general,
+and ``DRes``, the rest. Here ``DRes`` is not stored:
+:func:`normalize_frontier` derives ``Res`` from the set in one pass, and
+``DRes`` is what it leaves out. The output is the same, and the one
+function serves all three algorithms.
 """
 from __future__ import annotations
 
@@ -48,14 +51,14 @@ def top_down_search(
     tau: int,
     k: int,
     stats: SearchStats,
-) -> tuple[set[Pattern], set[Pattern]]:
-    """Run Algorithm 1 for one ``k`` from the root; returns ``(Res, DRes)``.
+) -> set[Pattern]:
+    """Run Algorithm 1 for one ``k`` from the root; returns the violating
+    patterns it generated, whose :func:`normalize_frontier` is ``Res``.
     GLOBALBOUNDS continues a search from a given node with
     :func:`resume_search`."""
-    res: set[Pattern] = set()
-    dres: set[Pattern] = set()
-    _search_below(store, spec, tau, k, stats, EMPTY, res, dres)
-    return res, dres
+    violating: set[Pattern] = set()
+    _search_below(store, spec, tau, k, stats, EMPTY, violating)
+    return violating
 
 
 def resume_search(
@@ -65,12 +68,11 @@ def resume_search(
     k: int,
     stats: SearchStats,
     node: Pattern,
-    res: set[Pattern],
-    dres: set[Pattern],
+    violating: set[Pattern],
 ) -> None:
     """``searchFromNode``: continue the top-down search from ``node``'s
-    search-tree children, updating ``res``/``dres`` in place."""
-    _search_below(store, spec, tau, k, stats, node, res, dres)
+    search-tree children, adding the violators it finds to ``violating``."""
+    _search_below(store, spec, tau, k, stats, node, violating)
 
 
 def _search_below(
@@ -80,8 +82,7 @@ def _search_below(
     k: int,
     stats: SearchStats,
     node: Pattern,
-    res: set[Pattern],
-    dres: set[Pattern],
+    violating: set[Pattern],
 ) -> None:
     """BFS over ``node``'s search-tree subtree, ``node`` excluded. The
     start node is reached out of tree order (the root, or a GLOBALBOUNDS
@@ -94,10 +95,7 @@ def _search_below(
     while queue:
         p, bits = queue.popleft()
         if spec.violates((bits & mask).bit_count(), bits.bit_count(), k, n):
-            if has_ancestor_in(p, res):
-                dres.add(p)
-            else:
-                res.add(p)
+            violating.add(p)
         else:
             _push_children(store, tau, stats, queue, p, bits)
 
@@ -115,3 +113,11 @@ def _push_children(
     kids = list(store.tree_children(p, bits))
     stats.examine(len(kids))
     queue.extend(kid for kid in kids if kid[1].bit_count() >= tau)
+
+
+def normalize_frontier(violating: set[Pattern]) -> set[Pattern]:
+    """``Res`` of a set of generated violating patterns: the members with
+    no proper subpattern in the set. ``DRes`` is the rest. A closed-form
+    pass, so it does not depend on the order in which the patterns were
+    found or removed."""
+    return {p for p in violating if not has_ancestor_in(p, violating)}

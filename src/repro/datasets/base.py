@@ -49,7 +49,13 @@ class RankedDataset:
 
     def with_attrs(self, m: int) -> "RankedDataset":
         """A view restricted to the first ``m`` pattern attributes — the
-        paper's number-of-attributes sweeps (Figures 4–5)."""
+        paper's number-of-attributes sweeps (Figures 4–5). Raises
+        ``ValueError`` unless ``1 ≤ m ≤ len(pattern_attrs)``."""
+        if not 1 <= m <= len(self.pattern_attrs):
+            raise ValueError(
+                f"{self.name}: need 1 <= m <= {len(self.pattern_attrs)} "
+                f"pattern attributes, got m={m}"
+            )
         return RankedDataset(
             name=f"{self.name}[{m} attrs]",
             pdf=self.pdf,

@@ -31,6 +31,14 @@ class TestRankedDataset:
         assert view.pattern_attrs == ["school", "sex", "age", "address"]
         assert view.n == student_ds.n
         assert set(view.numeric_cols) <= set(view.pattern_attrs)
+        whole = student_ds.with_attrs(len(student_ds.pattern_attrs))
+        assert whole.pattern_attrs == student_ds.pattern_attrs
+
+    @pytest.mark.parametrize("m", [0, -1, 34])
+    def test_with_attrs_rejects_out_of_range(self, student_ds, m):
+        """Student has 33 pattern attributes: ``m`` must be in 1..33."""
+        with pytest.raises(ValueError, match="1 <= m <= 33"):
+            student_ds.with_attrs(m)
 
 
 def _check_common(ds, expected_n, expected_attrs):

@@ -144,23 +144,42 @@ def test_construction_runs_no_aggregation(spark, paper_ds_spark):
         sc.setLocalProperty("spark.job.description", None)
 
 
+def _typed_table() -> pd.DataFrame:
+    """A bool and a double column, a NaN among the doubles."""
+    return pd.DataFrame({
+        "A": [True, False, True, False],
+        "B": [1.0, float("nan"), 1e-5, 2.5],
+        "rank": [1, 2, 3, 4],
+    })
+
+
 def test_null_is_one_value_in_both_stores(spark):
-    """A null is the value 'None' in both stores: a group of its own, a
-    member of ``domains`` and the rendering of ``row_at_rank``."""
-    pdf = _null_table()
-    ps = PandasStatsStore(pdf, ["A", "B"])
-    ss = SparkStatsStore(spark.createDataFrame(pdf), ["A", "B"])
-    assert ps.domains == ss.domains == [["None", "x", "y"], ["None", "u", "v"]]
-    for a, b in product([None, *ps.domains[0]], [None, *ps.domains[1]]):
-        p = tuple((i, v) for i, v in enumerate((a, b)) if v is not None)
-        assert ps.stat(p) == ss.stat(p)
-    assert ps.stat(((0, "None"), (1, "v"))) == PatternStat(1, 0b10)
-    assert ps.stat(((1, "None"),)) == PatternStat(2, 0b1100)
-    for k in range(1, 5):
-        assert ps.row_at_rank(k) == ss.row_at_rank(k)
-    for store in (ps, ss):
-        assert_tree_children_match_stat(store)
-    ss.unpersist()
+    """A null is the value 'None' in both stores, a NaN included: a group
+    of its own, a member of ``domains`` and the rendering of
+    ``row_at_rank``. Other values are keyed alike too: as ``str`` of the
+    Python value, whatever their column's type."""
+    cases = [
+        (_null_table(), [["None", "x", "y"], ["None", "u", "v"]], {
+            ((0, "None"), (1, "v")): PatternStat(1, 0b10),
+            ((1, "None"),): PatternStat(2, 0b1100),
+        }),
+        (_typed_table(), [["False", "True"], ["1.0", "1e-05", "2.5", "None"]],
+         {((0, "False"), (1, "None")): PatternStat(1, 0b10)}),
+    ]
+    for pdf, domains, expected in cases:
+        ps = PandasStatsStore(pdf, ["A", "B"])
+        ss = SparkStatsStore(spark.createDataFrame(pdf), ["A", "B"])
+        assert ps.domains == ss.domains == domains
+        for a, b in product([None, *ps.domains[0]], [None, *ps.domains[1]]):
+            p = tuple((i, v) for i, v in enumerate((a, b)) if v is not None)
+            assert ps.stat(p) == ss.stat(p)
+        for p, stat in expected.items():
+            assert ps.stat(p) == stat
+        for k in range(1, 5):
+            assert ps.row_at_rank(k) == ss.row_at_rank(k)
+        for store in (ps, ss):
+            assert_tree_children_match_stat(store)
+        ss.unpersist()
 
 
 def test_tree_children_match_stat(stores):

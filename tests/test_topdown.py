@@ -8,7 +8,7 @@ from repro.core.global_bounds import global_bounds
 from repro.core.prop_bounds import prop_bounds
 from repro.core.pattern import EMPTY, satisfies
 from repro.core.result import SearchStats, SearchTimeout
-from repro.core.topdown import top_down_search
+from repro.core.topdown import normalize_frontier, top_down_search
 from repro.datasets.hardness import hardness_construction
 from tests.helpers import make_random_ranked
 
@@ -32,9 +32,18 @@ class _RecordingStore:
 
 
 def test_res_and_dres_disjoint(paper_ds):
+    """Res, derived from the violating set, and DRes, the rest, split it:
+    no Res entry has an ancestor in the set, and every DRes entry has one
+    in Res."""
     store = paper_ds.pandas_store()
-    res, dres = top_down_search(store, GlobalSpec({4: 2}), 4, 4, SearchStats())
-    assert not res & dres
+    violating = top_down_search(
+        store, GlobalSpec({4: 2}), 4, 4, SearchStats()
+    )
+    res = normalize_frontier(violating)
+    dres = violating - res
+    assert res and dres and res <= violating
+    for r in res:
+        assert not any(set(q) < set(r) for q in violating)
     for d in dres:
         assert any(
             len(r) < len(d) and set(r) <= set(d) for r in res
@@ -42,9 +51,15 @@ def test_res_and_dres_disjoint(paper_ds):
 
 
 def test_violating_patterns_not_expanded(paper_ds):
-    """No reported pattern may be a descendant of another reported one."""
+    """No violating pattern is a search-tree descendant of another, and no
+    reported pattern is a descendant of another reported one."""
     store = paper_ds.pandas_store()
-    res, _ = top_down_search(store, GlobalSpec({4: 2}), 1, 4, SearchStats())
+    violating = top_down_search(
+        store, GlobalSpec({4: 2}), 1, 4, SearchStats()
+    )
+    for p in violating:
+        assert not any(p[:i] in violating for i in range(1, len(p)))
+    res = normalize_frontier(violating)
     for p in res:
         for q in res:
             if p != q:
