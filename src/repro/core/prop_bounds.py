@@ -25,9 +25,12 @@ changed, and nothing before it reads ``Res``. The paper's ``DRes`` is not
 stored: it is ``violating − Res``, read only by the invariant check.
 
 Expansion and the selective walk carry each node's bitmap down the tree: a
-child's bitmap is its parent's AND one value bitmap. Only ``fire_k_tilde``,
-which reaches ``K`` entries out of tree order, looks patterns up with
-``stat()``.
+child's bitmap is its parent's AND one value bitmap. Expansion runs
+Algorithm 1's extension loop over the store's extension list
+(:meth:`~repro.core.store.BaseStatsStore.extensions`): one AND and one
+popcount decide τ_s, and only a substantial child is built as a pattern.
+Only ``fire_k_tilde``, which reaches ``K`` entries out of tree order, looks
+patterns up with ``stat()``.
 
 Deviation from the paper: the paper keeps in ``K`` only entries whose ``k̃``
 decreases monotonically along a search-tree branch (a memory optimisation);
@@ -103,14 +106,17 @@ class _PropState:
         self, p: Pattern, k: int, visited: set[Pattern], bits: int
     ) -> None:
         """Generate ``p``'s search-tree children from its bitmap ``bits``
-        (τ_s-substantial only) and evaluate each — recursing through their
-        own expansions."""
-        kids = list(self.store.tree_children(p, bits))
-        self.stats.examine(len(kids))
+        and evaluate each substantial one — recursing through their own
+        expansions. Every extension counts as examined; a child under τ_s
+        is never built."""
         kept: list[Pattern] = []
         self.children_of[p] = kept
-        for child, child_bits in kids:
+        ext = self.store.extensions(p)
+        self.stats.examine(len(ext))
+        for pair, value_bits in ext:
+            child_bits = bits & value_bits
             if child_bits.bit_count() >= self.tau:
+                child = p + pair
                 kept.append(child)
                 self.evaluate(child, k, visited, child_bits)
 

@@ -17,8 +17,9 @@ class SearchTimeout(Exception):
 class SearchStats:
     """Counters of search effort.
 
-    ``examined`` counts every pattern whose bounds are evaluated — a pop in
-    Algorithm 1, a re-evaluation or expansion in the incremental algorithms.
+    ``examined`` counts every pattern whose bounds are evaluated — a child
+    an expansion generates, in Algorithm 1 or PROPBOUNDS (τ_s-pruned ones
+    included), or a re-evaluation in the incremental algorithms.
     This is the paper's "number of patterns examined during the search"
     metric behind the 29–57% reported gains.
     """

@@ -10,18 +10,21 @@ popcount under a k-bit mask — one set of bitmaps serves the entire k-range
 and every algorithm, so runtime differences between ITERTD and the
 optimized algorithms reflect patterns examined (the paper's metric), not
 redundant counting. Pattern bitmaps are never cached: the search derives
-each child's bitmap from its parent's (:meth:`BaseStatsStore.tree_children`,
-one AND per child, as Eclat extends a prefix's tidset by one item's);
-``stat()`` serves patterns reached out of tree order and the oracle. So a
-store's memory grows with the number of values, not with the patterns
-examined.
+each child's bitmap from its parent's, one AND per child, as Eclat extends
+a prefix's tidset by one item's. The extensions of a node are a list built
+at construction (:meth:`BaseStatsStore.extensions`): the ``(pair, value
+bitmap)`` of every search-tree child, the same list for every node with the
+same largest attribute, so the search builds a child's pattern tuple only
+once its popcount has passed τ_s. ``stat()`` serves patterns reached out of
+tree order and the oracle. So a store's memory grows with the number of
+values, not with the patterns examined.
 
 Both stores build the bitmaps on the driver, one pass per attribute
 (``BaseStatsStore._aggregate``); they differ only in where the rows come
 from:
 
-* :class:`SparkStatsStore` — a ranked Spark DataFrame, read with one
-  ``orderBy(rank).collect()``;
+* :class:`SparkStatsStore` — a ranked Spark DataFrame, read with one plain
+  ``collect()`` and ordered by rank on the driver, so Spark runs no sort;
 * :class:`PandasStatsStore` — a ranked pandas DataFrame.
 
 Values are keyed as strings by :func:`value_key`. A null is one value of
@@ -31,7 +34,7 @@ form a group, appear in ``domains`` and match patterns such as
 """
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -122,15 +125,13 @@ class BaseStatsStore:
             bits &= self.value_bits[a].get(v, 0)
         return PatternStat(bits.bit_count(), bits)
 
-    def tree_children(
-        self, p: Pattern, bits: int
-    ) -> Iterator[tuple[Pattern, int]]:
-        """``p``'s search-tree children with their bitmaps, given ``p``'s
-        bitmap ``bits``: ``child = p + (A_j = v)`` and ``child_bits = bits
-        & bitmap(A_j = v)``, in the order of
-        :func:`~repro.core.pattern.children`."""
-        for ext, value_bits in self._tails[p[-1][0] + 1 if p else 0]:
-            yield p + ext, bits & value_bits
+    def extensions(self, p: Pattern) -> list[tuple[Pattern, int]]:
+        """``p``'s extension list: ``(((A_j, v),), bitmap(A_j = v))`` for
+        every ``j`` past ``p``'s largest attribute index, in the order of
+        :func:`~repro.core.pattern.children`. ``p + pair`` is a search-tree
+        child of ``p``, and ``bits & bitmap`` its bitmap when ``bits`` is
+        ``p``'s. The list is shared: callers must not change it."""
+        return self._tails[p[-1][0] + 1 if p else 0]
 
     def size(self, p: Pattern) -> int:
         return self.stat(p).size
@@ -170,8 +171,11 @@ class SparkStatsStore(BaseStatsStore):
 
     ``df`` must carry the pattern attributes plus a dense 1-based integer
     ``rank`` column (see ``repro.ranking.rankers``). Construction reads it
-    once, with a single ``orderBy(rank).collect()``; every statistic comes
-    from the bitmaps of the collected rows, so the DataFrame is not cached.
+    once, with a single ``collect()``, and orders the rows by rank on the
+    driver: over a table spread across partitions, a Spark ``orderBy``
+    adds a range-partition sampling job and a sort shuffle for rows the
+    driver receives anyway. Every statistic comes from the bitmaps of the
+    collected rows, so the DataFrame is not cached.
     The attributes are collected as they are typed and keyed on the driver
     with :func:`value_key`, as the pandas store keys its cells, so both
     stores give a value, a NaN included, the same key.
@@ -191,11 +195,14 @@ class SparkStatsStore(BaseStatsStore):
         super().__init__(attr_names, rank_col)
 
     def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
-        rows = self._df.orderBy(self.rank_col).collect()
-        return [
+        ranked = [
             (r[self.rank_col], tuple(value_key(r[a]) for a in self.attr_names))
-            for r in rows
+            for r in self._df.collect()
         ]
+        # A null rank sorts first instead of failing the comparison, so the
+        # base class's 1..n check rejects it.
+        ranked.sort(key=lambda row: (row[0] is not None, row[0] or 0))
+        return ranked
 
     def unpersist(self) -> None:
         """Nothing to release: the DataFrame is read once and never cached.

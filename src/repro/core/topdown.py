@@ -1,18 +1,24 @@
 """Algorithm 1: single-k top-down search over the pattern search tree.
 
-BFS from the children of the empty pattern. Pruning rules (both counts are
-anti-monotone along pattern-graph edges):
+A depth-first walk from the children of the start node. Pruning rules
+(both counts are anti-monotone along pattern-graph edges):
 
 * ``s_D(p) < τ_s`` — prune ``p`` and its subtree (descendants are smaller);
 * ``p`` violating — add it to the violating set and do *not* expand
   (descendants are also violating, hence not most general);
 * otherwise expand ``p``'s search-tree children (Definition 4.1).
 
-The queue holds ``(pattern, bitmap)`` pairs: a child's bitmap is its
-parent's AND one value bitmap (:meth:`BaseStatsStore.tree_children`), so
-only the start node is looked up with ``stat()``. The τ_s test runs when a
-child is generated: every generated child counts as examined, and a pruned
-one never enters the queue.
+The walk keeps a list stack of ``(pattern, bitmap)`` pairs. Expanding a
+node reads its extension list (:meth:`BaseStatsStore.extensions`, the
+``(pair, value bitmap)`` of every child, shared by all nodes with the same
+largest attribute) and, per extension, ANDs the node's bitmap with the value
+bitmap and takes its popcount: that decides τ_s, so a pruned child is never
+built. A substantial child gets its pattern tuple and its bound test at
+generation, and only a passing one is pushed. Every extension counts as
+examined, so the examined count is that of a BFS over the same tree, and
+so is the violating set: whether a node is generated and expanded does not
+depend on the order of the walk. Only the start node is looked up with
+``stat()``.
 
 The search collects one set: the generated patterns that violate. The
 paper's ``update`` splits them on the fly into ``Res``, the most general,
@@ -22,8 +28,6 @@ and ``DRes``, the rest. Here ``DRes`` is not stored:
 function serves all three algorithms.
 """
 from __future__ import annotations
-
-from collections import deque
 
 from repro.core.bounds import GlobalSpec, PropSpec
 from repro.core.pattern import (
@@ -84,35 +88,30 @@ def _search_below(
     node: Pattern,
     violating: set[Pattern],
 ) -> None:
-    """BFS over ``node``'s search-tree subtree, ``node`` excluded. The
-    start node is reached out of tree order (the root, or a GLOBALBOUNDS
-    crosser), so its bitmap comes from ``stat()``; every node below
-    derives its own from its parent's."""
+    """Depth-first walk of ``node``'s search-tree subtree, ``node``
+    excluded. The start node is reached out of tree order (the root, or a
+    GLOBALBOUNDS crosser), so its bitmap comes from ``stat()``; every node
+    below derives its own from its parent's, one AND per extension.
+    ``_PropState.expand`` runs the same extension loop."""
     n = store.n
     mask = (1 << k) - 1
-    queue: deque[tuple[Pattern, int]] = deque()
-    _push_children(store, tau, stats, queue, node, store.stat(node).bits)
-    while queue:
-        p, bits = queue.popleft()
-        if spec.violates((bits & mask).bit_count(), bits.bit_count(), k, n):
-            violating.add(p)
-        else:
-            _push_children(store, tau, stats, queue, p, bits)
-
-
-def _push_children(
-    store: BaseStatsStore,
-    tau: int,
-    stats: SearchStats,
-    queue: deque[tuple[Pattern, int]],
-    p: Pattern,
-    bits: int,
-) -> None:
-    """Examine ``p``'s search-tree children and queue the substantial
-    ones with their bitmaps."""
-    kids = list(store.tree_children(p, bits))
-    stats.examine(len(kids))
-    queue.extend(kid for kid in kids if kid[1].bit_count() >= tau)
+    violates = spec.violates
+    extensions = store.extensions
+    stack = [(node, store.stat(node).bits)]
+    while stack:
+        p, bits = stack.pop()
+        ext = extensions(p)
+        stats.examine(len(ext))
+        for pair, value_bits in ext:
+            child_bits = bits & value_bits
+            size = child_bits.bit_count()
+            if size < tau:
+                continue
+            child = p + pair
+            if violates((child_bits & mask).bit_count(), size, k, n):
+                violating.add(child)
+            else:
+                stack.append((child, child_bits))
 
 
 def normalize_frontier(violating: set[Pattern]) -> set[Pattern]:

@@ -63,16 +63,17 @@ def random_params(seed: int, n: int) -> dict:
 
 
 def assert_tree_children_match_stat(store: BaseStatsStore) -> int:
-    """Walk the whole search tree through ``store.tree_children``, from
-    the empty pattern's bitmap, without τ_s pruning. At every node the
-    children come in :func:`children` order, and each derived bitmap
-    equals the child's ``stat()`` in size and bits. The walk reaches every
-    non-empty value combination over every attribute subset."""
+    """Walk the whole search tree through ``store.extensions``, from the
+    empty pattern's bitmap, without τ_s pruning, deriving each child as the
+    search does: ``p + pair`` with bitmap ``bits & value bitmap``. At every
+    node the children come in :func:`children` order, and each derived
+    bitmap equals the child's ``stat()`` in size and bits. The walk reaches
+    every non-empty value combination over every attribute subset."""
     checked = 0
     stack = [(EMPTY, store.all_bits)]
     while stack:
         p, bits = stack.pop()
-        kids = list(store.tree_children(p, bits))
+        kids = [(p + pair, bits & vb) for pair, vb in store.extensions(p)]
         assert [c for c, _ in kids] == list(children(p, store.domains)), p
         for c, c_bits in kids:
             assert store.stat(c) == PatternStat(c_bits.bit_count(), c_bits), c

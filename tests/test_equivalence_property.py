@@ -12,7 +12,12 @@ rows, nulls, the full k range 1..n, τ_s of 1 or n:
   result at every k it shares;
 * each algorithm's result dict holds one object per distinct pattern;
 * the store derives every search-tree child's bitmap from its parent's as
-  ``stat()`` computes it from scratch."""
+  ``stat()`` computes it from scratch;
+* Algorithm 1, from the root and from any node, finds the violating set of
+  a plain BFS over ``pattern.children`` and ``stat()``, and examines as
+  many patterns."""
+from collections import deque
+
 import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +25,10 @@ from hypothesis import strategies as st
 from repro.core import GlobalSpec, PandasStatsStore, PropSpec, iter_td
 from repro.core.brute_force import brute_force
 from repro.core.global_bounds import global_bounds
+from repro.core.pattern import children
 from repro.core.prop_bounds import prop_bounds
+from repro.core.result import SearchStats
+from repro.core.topdown import resume_search, top_down_search
 from tests.helpers import assert_tree_children_match_stat
 
 
@@ -137,3 +145,48 @@ def test_one_object_per_distinct_pattern(table):
 @given(ranked_tables())
 def test_tree_children_match_stat(table):
     assert_tree_children_match_stat(table[0])
+
+
+def _reference_search(store, spec, tau, k, node):
+    """Algorithm 1 below ``node`` as a BFS over :func:`children`, with
+    every count from ``stat()``: ``(violating set, examined count)``.
+    Each child of an expanded node is examined; a substantial violator is
+    kept, a substantial passing child is expanded."""
+    violating, examined = set(), 0
+    queue = deque([node])
+    while queue:
+        for child in children(queue.popleft(), store.domains):
+            examined += 1
+            stat = store.stat(child)
+            if stat.size < tau:
+                continue
+            if spec.violates(stat.topk(k), stat.size, k, store.n):
+                violating.add(child)
+            else:
+                queue.append(child)
+    return violating, examined
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_tables(), st.data())
+def test_search_matches_reference_bfs(table, data):
+    store, global_spec, alpha, _ = table
+    n = store.n
+    tau = data.draw(st.integers(1, n), label="tau")
+    k = data.draw(st.integers(1, n), label="k")
+    values = [
+        data.draw(st.sampled_from([None, *domain]), label=f"A{a}")
+        for a, domain in enumerate(store.domains)
+    ]
+    node = tuple((a, v) for a, v in enumerate(values) if v is not None)
+    for spec in (global_spec, PropSpec(alpha)):
+        stats = SearchStats()
+        got = top_down_search(store, spec, tau, k, stats)
+        assert (got, stats.examined) == _reference_search(
+            store, spec, tau, k, ()
+        ), spec
+        stats, got = SearchStats(), set()
+        resume_search(store, spec, tau, k, stats, node, got)
+        assert (got, stats.examined) == _reference_search(
+            store, spec, tau, k, node
+        ), (spec, node)

@@ -14,7 +14,7 @@ from repro.experiments import (
     sweep_tau,
 )
 from repro.experiments import runner, sweeps
-from repro.experiments.runner import run_algorithm
+from repro.experiments.runner import RunOutcome, run_algorithm
 from repro.experiments.shapley_exp import pick_group
 from repro.experiments.sweeps import Defaults, examined_gain
 from repro.datasets.base import RankedDataset
@@ -215,6 +215,23 @@ class TestTables:
         assert md.startswith("| tau |")
         assert "| 2 |" in md
         assert md.count("\n") == 2  # header + separator + one data row
+
+    @pytest.mark.parametrize(
+        "base_s, opt_s, speedup",
+        [(0.5, 0.25, "2.00x"), (0.1, 0.1, "1.00x"), (0.009, 0.001, "-"),
+         (0.5, 0.099, "-"), (0.099, 0.5, "-")],
+    )
+    def test_speedup_needs_resolvable_times(self, base_s, opt_s, speedup):
+        """The search speedup is printed only when both search times are
+        at least ``SPEEDUP_RESOLUTION_S``; the examined gain always is."""
+        row = {
+            "tau": 2,
+            "baseline": RunOutcome(base_s + 1.0, 1.0, 100, {}),
+            "optimized": RunOutcome(opt_s + 1.0, 1.0, 50, {}),
+        }
+        cells = format_rows([row], "tau").splitlines()[2].split(" | ")
+        assert cells[5] == speedup
+        assert cells[8] == "50.00% |"
 
     def test_defaults_match_paper(self):
         assert DEFAULTS.tau == 50

@@ -11,6 +11,7 @@ from pyspark.sql import functions as F
 
 from repro.core.store import PandasStatsStore, PatternStat, SparkStatsStore
 from repro.oracle import assert_equivalent
+from repro.ranking.rankers import add_rank
 from tests.helpers import assert_tree_children_match_stat
 
 ATTRS = ["Gender", "School", "Address", "Failures"]
@@ -124,12 +125,17 @@ def test_topk_counts_against_duckdb(paper_ds_spark):
 def test_construction_runs_no_aggregation(spark, paper_ds_spark):
     """``n``, ``domains``, ``row_at_rank`` and every statistic come from
     the rows collected at construction: the collect is the store's only
-    Spark work, and lookups start no Spark job."""
+    Spark work, and lookups start no Spark job. The table is ranked in
+    Spark by ``add_rank``, as the jobs rank theirs, so the collect runs a
+    job (a collect of a local relation would run none)."""
+    df = add_rank(
+        paper_ds_spark.df.drop("rank"), "Grade", tiebreak_cols=["Failures"]
+    )
     sc = spark.sparkContext
     tracker = sc.statusTracker()
     try:
         sc.setJobGroup("store-build", "store construction")
-        ss = paper_ds_spark.spark_store()
+        ss = SparkStatsStore(df, ATTRS)
         assert tracker.getJobIdsForGroup("store-build")
         sc.setJobGroup("store-lookups", "store lookups")
         assert ss.n == 16
@@ -189,8 +195,33 @@ def test_tree_children_match_stat(stores):
         assert_tree_children_match_stat(store)
 
 
-@pytest.mark.parametrize("ranks", [[1, 3], [1, 1], [0, 1]])
+@pytest.mark.parametrize(
+    "ranks", [[1, 3], [1, 1], [0, 1], [None, 1], [2, None], [None, None]]
+)
 def test_rank_column_must_be_1_to_n(spark, ranks):
-    df = spark.createDataFrame(pd.DataFrame({"A": ["x", "y"], "rank": ranks}))
+    """Gaps, duplicates and null ranks are rejected, whatever the order in
+    which the rows arrive."""
+    df = spark.createDataFrame(
+        list(zip(["x", "y"], ranks)), "A string, rank long"
+    )
     with pytest.raises(ValueError, match="1..n"):
         SparkStatsStore(df, ["A"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shuffled_rows_equal_pandas_store(spark, student_ds, seed):
+    """A Spark store over the rows in a random order, spread over several
+    partitions, orders them by rank on the driver: the same ranked rows,
+    domains and value bitmaps as the pandas store."""
+    pdf = student_ds.pdf.sample(frac=1, random_state=seed)
+    assert pdf["rank"].tolist() != sorted(pdf["rank"])
+    ss = SparkStatsStore(
+        spark.createDataFrame(pdf).repartition(4), student_ds.pattern_attrs
+    )
+    ps = student_ds.pandas_store()
+    assert ss.n == ps.n
+    assert ss.domains == ps.domains
+    assert ss.value_bits == ps.value_bits
+    assert [ss.row_at_rank(k) for k in range(1, ss.n + 1)] == [
+        ps.row_at_rank(k) for k in range(1, ps.n + 1)
+    ]

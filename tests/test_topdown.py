@@ -14,18 +14,19 @@ from tests.helpers import make_random_ranked
 
 
 class _RecordingStore:
-    """Proxy store that records every child its child generator yields —
-    the patterns the search examines, i.e. the nodes of the search tree
-    T_k."""
+    """Proxy store that records every child of every extension list it
+    hands out, the τ_s-pruned ones included — the patterns the search
+    examines, i.e. the nodes of the search tree T_k. The search never
+    builds a pruned child, so the proxy builds each as ``p + pair``."""
 
     def __init__(self, inner):
         self._inner = inner
         self.queried = []
 
-    def tree_children(self, p, bits):
-        for child, child_bits in self._inner.tree_children(p, bits):
-            self.queried.append(child)
-            yield child, child_bits
+    def extensions(self, p):
+        ext = self._inner.extensions(p)
+        self.queried.extend(p + pair for pair, _ in ext)
+        return ext
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
