@@ -11,6 +11,13 @@
 * :func:`check_params` — the parameter check every detection entry point
   runs first.
 
+Both specs resolve their bound at one ``k`` to integers
+(:meth:`~GlobalSpec.linear`): ``(a, b, t)`` such that a pattern with top-k
+count ``c`` and size ``s_D(p)`` violates iff ``a·c < b·s_D(p) + t``. This is
+the bound's one definition: ``violates`` evaluates it, and the search loops
+resolve it once per ``k`` and test every pattern with two products and a
+comparison, whatever the spec.
+
 The proportional bound is compared in integers, with ``α`` read as the
 exact fraction of its decimal form (``0.8`` is ``4/5``), so a bound that is
 exactly an integer is never rounded past the count it is compared with.
@@ -20,13 +27,29 @@ Only the lower-bound side is implemented, matching the paper's evaluation
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 
+class _LinearBound:
+    """``violates`` through the spec's :meth:`linear` form."""
+
+    def linear(self, k: int, n: int) -> tuple[int, int, int]:
+        raise NotImplementedError
+
+    def violates(self, c: int, size: int, k: int, n: int) -> bool:
+        """True iff a pattern of size ``size`` with top-k count ``c`` is
+        below the bound at ``k`` over ``n`` tuples: ``a·c < b·size + t``
+        for ``(a, b, t) = linear(k, n)``. Loops over many patterns at one
+        ``k`` resolve :meth:`linear` once instead."""
+        a, b, t = self.linear(k, n)
+        return a * c < b * size + t
+
+
 @dataclass(frozen=True)
-class GlobalSpec:
+class GlobalSpec(_LinearBound):
     """Lower bounds for Problem 3.1 as a sorted step function.
 
     ``steps`` maps a starting ``k`` to the bound that applies from that k on
@@ -35,35 +58,30 @@ class GlobalSpec:
     """
 
     steps: Mapping[int, int]
-    _sorted: Sequence[tuple[int, int]] = field(init=False, repr=False)
+    #: The step starts, ascending, and the bound from each on.
+    _starts: Sequence[int] = field(init=False, repr=False, compare=False)
+    _bounds: Sequence[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        items = tuple(sorted(self.steps.items()))
+        items = sorted(self.steps.items())
         if not items:
             raise ValueError("at least one bound step is required")
         bounds = [b for _, b in items]
         if bounds != sorted(bounds):
             # Footnote 3: L_k must be non-decreasing in k.
             raise ValueError("lower bounds must be non-decreasing in k")
-        object.__setattr__(self, "_sorted", items)
+        object.__setattr__(self, "_starts", [s for s, _ in items])
+        object.__setattr__(self, "_bounds", bounds)
 
     def L(self, k: int) -> int:
-        """The lower bound in force at position ``k``."""
-        bound = self._sorted[0][1]
-        for start, b in self._sorted:
-            if k >= start:
-                bound = b
-            else:
-                break
-        return bound
+        """The lower bound in force at position ``k``: that of the last
+        step starting at or before ``k``, the first step's below it."""
+        return self._bounds[max(bisect_right(self._starts, k) - 1, 0)]
 
-    def violates(self, c: int, size: int, k: int, n: int) -> bool:
-        """True iff a top-k count ``c`` is below the bound at ``k``.
-
-        ``size``/``n`` are unused here; the signature is shared with
-        :class:`PropSpec` so the search algorithms are spec-agnostic.
-        """
-        return c < self.L(k)
+    def linear(self, k: int, n: int) -> tuple[int, int, int]:
+        """``(1, 0, L(k))``: a top-k count ``c`` violates iff
+        ``c < L(k)``; the size and ``n`` do not enter."""
+        return 1, 0, self.L(k)
 
 
 def paper_default_global() -> GlobalSpec:
@@ -73,7 +91,7 @@ def paper_default_global() -> GlobalSpec:
 
 
 @dataclass(frozen=True)
-class PropSpec:
+class PropSpec(_LinearBound):
     """Proportional lower bound of Problem 3.2: ``α · s_D(p) · k / |D|``."""
 
     alpha: float
@@ -87,10 +105,10 @@ class PropSpec:
         object.__setattr__(self, "_num", frac.numerator)
         object.__setattr__(self, "_den", frac.denominator)
 
-    def violates(self, c: int, size: int, k: int, n: int) -> bool:
-        """True iff ``c < α · size · k / n`` (strict, as in Problem 3.2),
-        evaluated exactly as ``c · n · den < num · size · k``."""
-        return c * n * self._den < self._num * size * k
+    def linear(self, k: int, n: int) -> tuple[int, int, int]:
+        """``(n·den, num·k, 0)``: ``c < α · size · k / n`` (strict, as in
+        Problem 3.2) is exactly ``c · n · den < num · k · size``."""
+        return n * self._den, self._num * k, 0
 
     def k_tilde(self, c: int, size: int, n: int) -> int:
         """Minimal ``k`` with ``c < α · size · k / n`` when ``c`` is held

@@ -51,10 +51,12 @@ def brute_force(
     n = store.n
     res: dict[int, frozenset[Pattern]] = {}
     for k in range(k_min, k_max + 1):
+        a, b, t = spec.linear(k, n)
+        mask = (1 << k) - 1
         violating = {
             p
             for p, st in substantial.items()
-            if spec.violates(st.topk(k), st.size, k, n)
+            if a * (st.bits & mask).bit_count() < b * st.size + t
         }
         res[k] = frozenset(
             p for p in violating if not has_ancestor_in(p, violating)

@@ -16,8 +16,9 @@ consecutive k values (when ``L_k`` is unchanged):
 Per step only patterns satisfied by the new tuple can cross from violating
 to passing (Proposition 4.3 bounds these by half the tree); each crosser
 leaves ``violating`` and is expanded, and ``Res`` is re-derived once the
-step's crossers are done. When the bound increases, a fresh full top-down
-search runs (Algorithm 2, lines 4–5).
+step's crossers are done. The crossers are tested against the bound's
+``linear`` form, resolved once per step. When the bound increases, a fresh
+full top-down search runs (Algorithm 2, lines 4–5).
 """
 from __future__ import annotations
 
@@ -61,10 +62,11 @@ def global_bounds(
             # Only patterns the new tuple satisfies can have changed counts.
             affected = [p for p in violating if satisfies(new_tuple, p)]
             crossed = False
+            a, b, t = spec.linear(k, store.n)
             for p in affected:
                 stats.examine()
                 st = store.stat(p)
-                if not spec.violates(st.topk(k), st.size, k, store.n):
+                if a * st.topk(k) >= b * st.size + t:
                     # p crossed the bound: drop it and resume the top-down
                     # search from its search-tree children (searchFromNode).
                     violating.discard(p)

@@ -8,7 +8,7 @@ hashable, orderable and cheap — the search algorithms keep millions of them.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import AbstractSet, Iterator, Sequence
 
 #: A pattern: ``((attr_idx, value), ...)`` sorted ascending by ``attr_idx``.
@@ -44,10 +44,12 @@ def has_ancestor_in(p: Pattern, pool: AbstractSet[Pattern]) -> bool:
 
     Looks up each of the ``2^|p| − 1`` proper subpatterns (sorted, since
     ``combinations`` keeps ``p``'s order) in the set ``pool``, most general
-    first, so the cost does not grow with the pool; patterns are short.
+    first, so the cost does not grow with the pool; patterns are short. The
+    subpatterns are chained into one ``isdisjoint`` probe, which stops at
+    the first hit and runs without a Python-level loop.
     """
-    return any(
-        sub in pool for r in range(len(p)) for sub in combinations(p, r)
+    return not pool.isdisjoint(
+        chain.from_iterable(map(combinations, repeat(p), range(len(p))))
     )
 
 

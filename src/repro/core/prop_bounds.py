@@ -30,7 +30,8 @@ Algorithm 1's extension loop over the store's extension list
 (:meth:`~repro.core.store.BaseStatsStore.extensions`): one AND and one
 popcount decide τ_s, and only a substantial child is built as a pattern.
 Only ``fire_k_tilde``, which reaches ``K`` entries out of tree order, looks
-patterns up with ``stat()``.
+patterns up with ``stat()``. ``evaluate`` resolves the bound to the spec's
+``linear`` form once per ``k`` and tests each pattern against it inline.
 
 Deviation from the paper: the paper keeps in ``K`` only entries whose ``k̃``
 decreases monotonically along a search-tree branch (a memory optimisation);
@@ -72,6 +73,11 @@ class _PropState:
         #: Set when ``violating`` changes; the promote() pass only runs
         #: when the frontier actually changed this step.
         self.dirty = False
+        #: The ``k`` that ``mask`` and ``linear`` (the spec's bound in
+        #: integers) were resolved at, once per step by evaluate().
+        self.k = 0
+        self.mask = 0
+        self.linear = (0, 0, 0)
 
     @property
     def dres(self) -> set[Pattern]:
@@ -86,10 +92,14 @@ class _PropState:
         ``bits``, at position k; expand it on its first pass."""
         visited.add(p)
         self.stats.examine()
+        if k != self.k:
+            self.k, self.mask = k, (1 << k) - 1
+            self.linear = self.spec.linear(k, self.store.n)
+        a, b, t = self.linear
         size = bits.bit_count()
-        c = (bits & ((1 << k) - 1)).bit_count()
+        c = (bits & self.mask).bit_count()
         was_violating = p in self.violating
-        if self.spec.violates(c, size, k, self.store.n):
+        if a * c < b * size + t:
             if not was_violating:
                 self.K.pop(p, None)
                 self.violating.add(p)

@@ -23,8 +23,10 @@ Both stores build the bitmaps on the driver, one pass per attribute
 (``BaseStatsStore._aggregate``); they differ only in where the rows come
 from:
 
-* :class:`SparkStatsStore` — a ranked Spark DataFrame, read with one plain
-  ``collect()`` and ordered by rank on the driver, so Spark runs no sort;
+* :class:`SparkStatsStore` — a ranked Spark DataFrame, read as it is given
+  with one plain ``collect()`` (no projection, so every store over one
+  DataFrame reuses its planned query) and ordered by rank on the driver, so
+  Spark runs no sort;
 * :class:`PandasStatsStore` — a ranked pandas DataFrame.
 
 Values are keyed as strings by :func:`value_key`. A null is one value of
@@ -38,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql.types import NumericType
 
 from repro.core.pattern import Pattern
 
@@ -47,6 +49,16 @@ def value_key(v: object) -> str:
     """The key of a value in a pattern: ``'None'`` for any null (None,
     NaN, NaT, ``pd.NA``), else ``str(v)``."""
     return "None" if pd.isna(v) else str(v)
+
+
+def _positions(columns: Sequence[str], names: Sequence[str]) -> list[int]:
+    """The position of each of ``names`` among a table's ``columns``;
+    ``ValueError`` naming the first one the table lacks."""
+    columns = list(columns)
+    for name in names:
+        if name not in columns:
+            raise ValueError(f"column {name!r} not found among {columns}")
+    return [columns.index(name) for name in names]
 
 
 class PatternStat(NamedTuple):
@@ -158,6 +170,7 @@ class PandasStatsStore(BaseStatsStore):
         super().__init__(attr_names, rank_col)
 
     def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
+        _positions(self._pdf.columns, [self.rank_col, *self.attr_names])
         ordered = self._pdf.sort_values(self.rank_col)
         return [
             (rank, tuple(value_key(v) for v in row))
@@ -169,16 +182,27 @@ class PandasStatsStore(BaseStatsStore):
 class SparkStatsStore(BaseStatsStore):
     """Pattern statistics over a Spark DataFrame, counted on the driver.
 
-    ``df`` must carry the pattern attributes plus a dense 1-based integer
-    ``rank`` column (see ``repro.ranking.rankers``). Construction reads it
-    once, with a single ``collect()``, and orders the rows by rank on the
-    driver: over a table spread across partitions, a Spark ``orderBy``
-    adds a range-partition sampling job and a sort shuffle for rows the
-    driver receives anyway. Every statistic comes from the bitmaps of the
-    collected rows, so the DataFrame is not cached.
-    The attributes are collected as they are typed and keyed on the driver
-    with :func:`value_key`, as the pandas store keys its cells, so both
-    stores give a value, a NaN included, the same key.
+    ``df`` must carry the pattern attributes plus a dense 1-based ``rank``
+    column (see ``repro.ranking.rankers``); other columns may be present.
+    The rank column's values must be exactly the integers ``1..n``, each
+    once: an integral Spark type (``byte`` to ``long``) as ``add_rank``
+    gives, or a floating-point or decimal type whose values are whole
+    numbers. Fractional, null, gapped and duplicated ranks raise
+    ``ValueError``. So do a missing attribute or rank column and a
+    non-numeric rank column, before any Spark job runs.
+
+    Construction runs one plain ``collect()`` on ``df`` itself, with no
+    projection, cast or ``orderBy``: every store built over one DataFrame
+    reuses that DataFrame's planned query, and Spark skips the stages it
+    has already materialised (such as ``add_rank``'s ranking shuffle).
+    The attribute and rank fields are picked by position on the driver,
+    and the rows ordered by rank there: over a table spread across
+    partitions, a Spark ``orderBy`` adds a range-partition sampling job and
+    a sort shuffle for rows the driver receives anyway. Every statistic
+    comes from the bitmaps of the collected rows, so the DataFrame is not
+    cached. The attributes are collected as they are typed and keyed on
+    the driver with :func:`value_key`, as the pandas store keys its cells,
+    so both stores give a value, a NaN included, the same key.
     ``__init__``, ``_aggregate`` and ``_collect_rows`` are bound by name
     on this class by the benchmark's span tracer.
     """
@@ -189,14 +213,22 @@ class SparkStatsStore(BaseStatsStore):
         attr_names: Sequence[str],
         rank_col: str = "rank",
     ):
-        self._df = df.select(
-            *attr_names, F.col(rank_col).cast("long").alias(rank_col)
-        )
+        self._df = df
         super().__init__(attr_names, rank_col)
 
     def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
+        schema = self._df.schema
+        rank_at, *attr_at = _positions(
+            schema.names, [self.rank_col, *self.attr_names]
+        )
+        rank_type = schema[rank_at].dataType
+        if not isinstance(rank_type, NumericType):
+            raise ValueError(
+                f"{self.rank_col!r} must be numeric, got "
+                f"{rank_type.simpleString()}"
+            )
         ranked = [
-            (r[self.rank_col], tuple(value_key(r[a]) for a in self.attr_names))
+            (r[rank_at], tuple([value_key(r[i]) for i in attr_at]))
             for r in self._df.collect()
         ]
         # A null rank sorts first instead of failing the comparison, so the

@@ -14,11 +14,13 @@ node reads its extension list (:meth:`BaseStatsStore.extensions`, the
 largest attribute) and, per extension, ANDs the node's bitmap with the value
 bitmap and takes its popcount: that decides τ_s, so a pruned child is never
 built. A substantial child gets its pattern tuple and its bound test at
-generation, and only a passing one is pushed. Every extension counts as
-examined, so the examined count is that of a BFS over the same tree, and
-so is the violating set: whether a node is generated and expanded does not
-depend on the order of the walk. Only the start node is looked up with
-``stat()``.
+generation, and only a passing one is pushed. The bound test is the spec's
+:meth:`~repro.core.bounds.GlobalSpec.linear` form, resolved once per search
+(one ``k``): ``a·c < b·size + t``, with no call per child. Every extension
+counts as examined, so the examined count is that of a BFS over the same
+tree, and so is the violating set: whether a node is generated and
+expanded does not depend on the order of the walk. Only the start node is
+looked up with ``stat()``.
 
 The search collects one set: the generated patterns that violate. The
 paper's ``update`` splits them on the fly into ``Res``, the most general,
@@ -91,11 +93,12 @@ def _search_below(
     """Depth-first walk of ``node``'s search-tree subtree, ``node``
     excluded. The start node is reached out of tree order (the root, or a
     GLOBALBOUNDS crosser), so its bitmap comes from ``stat()``; every node
-    below derives its own from its parent's, one AND per extension.
+    below derives its own from its parent's, one AND per extension. The
+    bound is resolved once, to the spec's ``linear`` form at ``k``, and
+    each substantial child is tested inline against it.
     ``_PropState.expand`` runs the same extension loop."""
-    n = store.n
     mask = (1 << k) - 1
-    violates = spec.violates
+    a, b, t = spec.linear(k, store.n)
     extensions = store.extensions
     stack = [(node, store.stat(node).bits)]
     while stack:
@@ -108,7 +111,7 @@ def _search_below(
             if size < tau:
                 continue
             child = p + pair
-            if violates((child_bits & mask).bit_count(), size, k, n):
+            if a * (child_bits & mask).bit_count() < b * size + t:
                 violating.add(child)
             else:
                 stack.append((child, child_bits))

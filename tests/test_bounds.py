@@ -1,5 +1,9 @@
 """Unit tests for bound specs and the k̃ computation (Section IV-C)."""
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import iter_td
 from repro.core.brute_force import brute_force
@@ -65,6 +69,73 @@ class TestPropSpec:
     def test_non_positive_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             PropSpec(alpha)
+
+
+def _scan_L(steps: dict[int, int], k: int) -> int:
+    """The bound in force at ``k`` by a scan of the steps: that of the last
+    step starting at or before ``k``, the first step's below every start."""
+    items = sorted(steps.items())
+    bound = items[0][1]
+    for start, b in items:
+        if k >= start:
+            bound = b
+    return bound
+
+
+@st.composite
+def _positions(draw):
+    """``(n, k, size, c)`` with ``1 ≤ k ≤ n`` and ``0 ≤ c ≤ size ≤ n``."""
+    n = draw(st.integers(1, 5000))
+    k = draw(st.integers(1, n))
+    size = draw(st.integers(0, n))
+    c = draw(st.integers(0, size))
+    return n, k, size, c
+
+
+@st.composite
+def _global_specs(draw):
+    """Step functions: distinct starts, bounds non-decreasing with them."""
+    starts = sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=6)))
+    bounds = sorted(draw(st.lists(
+        st.integers(0, 200), min_size=len(starts), max_size=len(starts)
+    )))
+    return dict(zip(starts, bounds))
+
+
+class TestLinearBound:
+    """``linear(k, n) = (a, b, t)`` is the bound at ``k`` in integers: a
+    pattern violates iff ``a·c < b·size + t``. Checked against the exact
+    rational inequality of each problem."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.decimals("0.001", "5", places=3, allow_nan=False)
+        .filter(lambda d: d > 0).map(str),
+        _positions(),
+    )
+    def test_prop_matches_exact_fraction(self, alpha, pos):
+        n, k, size, c = pos
+        spec = PropSpec(float(alpha))
+        a, b, t = spec.linear(k, n)
+        exact = Fraction(c) < Fraction(alpha) * size * k / n
+        assert (a * c < b * size + t) is exact
+        assert spec.violates(c, size, k, n) is exact
+
+    @settings(max_examples=500, deadline=None)
+    @given(_global_specs(), _positions())
+    def test_global_matches_step_scan(self, steps, pos):
+        n, k, size, c = pos
+        spec = GlobalSpec(steps)
+        assert spec.L(k) == _scan_L(steps, k)
+        a, b, t = spec.linear(k, n)
+        exact = Fraction(c) < _scan_L(steps, k)
+        assert (a * c < b * size + t) is exact
+        assert spec.violates(c, size, k, n) is exact
+
+    @given(_global_specs(), st.integers(-10, 6000))
+    def test_L_matches_step_scan_at_any_k(self, steps, k):
+        """Below the first start, at each start and past the last."""
+        assert GlobalSpec(steps).L(k) == _scan_L(steps, k)
 
 
 class TestKTilde:

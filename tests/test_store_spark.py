@@ -1,8 +1,9 @@
 """Spark pattern-statistics store: its row source against the pandas
-one, both stores' counts against pandas boolean masks, and the ranked Spark
-table against the DuckDB oracle (repro.oracle.assert_equivalent). Both
-stores build their value bitmaps from the collected rows with the same
-driver code, so equal rows give equal statistics."""
+one, both stores' counts against pandas boolean masks, the ranked Spark
+table against the DuckDB oracle (repro.oracle.assert_equivalent), and the
+checks of its input's columns and rank values. Both stores build their
+value bitmaps from the collected rows with the same driver code, so equal
+rows give equal statistics."""
 from itertools import product
 
 import pandas as pd
@@ -208,6 +209,112 @@ def test_rank_column_must_be_1_to_n(spark, ranks):
         SparkStatsStore(df, ["A"])
 
 
+def _assert_same_store(ss, ps) -> None:
+    """Same ``n``, domains, value bitmaps and ranked rows."""
+    assert ss.n == ps.n
+    assert ss.domains == ps.domains
+    assert ss.value_bits == ps.value_bits
+    assert [ss.row_at_rank(k) for k in range(1, ss.n + 1)] == [
+        ps.row_at_rank(k) for k in range(1, ps.n + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "attrs,rank_col,missing",
+    [(["A", "C"], "rank", "C"), (["A"], "position", "position")],
+)
+def test_missing_column_rejected_before_any_job(
+    spark, attrs, rank_col, missing
+):
+    """A missing attribute or rank column is a ``ValueError`` that names
+    it, raised before the store starts a Spark job."""
+    df = add_rank(
+        spark.createDataFrame([("x", 2.0), ("y", 1.0)], "A string, s double"),
+        "s",
+    )
+    sc = spark.sparkContext
+    try:
+        sc.setJobGroup("store-missing", "store over a missing column")
+        with pytest.raises(ValueError, match=repr(missing)):
+            SparkStatsStore(df, attrs, rank_col)
+        assert sc.statusTracker().getJobIdsForGroup("store-missing") == []
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [[1.5, 2.5], [0.5, 1.5], [1.0, None], [1.0, 3.0], [2.0, 2.0]],
+)
+def test_fractional_rank_column_must_be_1_to_n(spark, ranks):
+    """A floating-point rank column is read as it is, not truncated:
+    fractional ranks fail the 1..n check as nulls, gaps and duplicates
+    do."""
+    df = spark.createDataFrame(
+        list(zip(["x", "y"], ranks)), "A string, rank double"
+    )
+    with pytest.raises(ValueError, match="1..n"):
+        SparkStatsStore(df, ["A"])
+
+
+def test_whole_number_rank_types_accepted(spark):
+    """Integral ranks of any width, and whole-number doubles and decimals,
+    give the same store as the pandas one."""
+    pdf = _null_table()
+    ps = PandasStatsStore(pdf, ["A", "B"])
+    for rank_type in ["tinyint", "int", "bigint", "double", "decimal(10,0)"]:
+        df = spark.createDataFrame(pdf).withColumn(
+            "rank", F.col("rank").cast(rank_type)
+        )
+        _assert_same_store(SparkStatsStore(df, ["A", "B"]), ps)
+
+
+@pytest.mark.parametrize("rank_type", ["string", "boolean"])
+def test_non_numeric_rank_column_rejected(spark, rank_type):
+    df = spark.createDataFrame(_null_table()).withColumn(
+        "rank", F.col("rank").cast(rank_type)
+    )
+    with pytest.raises(ValueError, match="numeric"):
+        SparkStatsStore(df, ["A", "B"])
+
+
+def test_extra_columns_equal_pandas_store(spark, student_ds):
+    """Columns other than the attributes and the rank, of any type and in
+    any position, are collected and ignored: the store equals the pandas
+    store over the attributes alone."""
+    df = spark.createDataFrame(student_ds.pdf).select(
+        F.array(F.lit(1), F.lit(2)).alias("arr"),
+        F.struct(F.lit("s").alias("f")).alias("st"),
+        F.current_timestamp().alias("ts"),
+        *reversed(student_ds.pdf.columns),
+        F.lit(None).cast("double").alias("nothing"),
+    )
+    _assert_same_store(
+        SparkStatsStore(df, student_ds.pattern_attrs),
+        student_ds.pandas_store(),
+    )
+
+
+def test_stores_over_one_ranked_dataframe_are_identical(
+    spark, paper_ds_spark
+):
+    """Two stores built over one ``add_rank`` DataFrame, as a sweep point
+    builds its baseline's and its optimized algorithm's, read the same
+    rows and equal the pandas store."""
+    df = add_rank(
+        paper_ds_spark.df.drop("rank").repartition(3),
+        "Grade",
+        tiebreak_cols=["id"],
+    )
+    first, second = SparkStatsStore(df, ATTRS), SparkStatsStore(df, ATTRS)
+    _assert_same_store(first, second)
+    ranked = paper_ds_spark.pdf.sort_values(
+        ["Grade", "id"], ascending=[False, True]
+    ).assign(rank=range(1, 17))
+    _assert_same_store(first, PandasStatsStore(ranked, ATTRS))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shuffled_rows_equal_pandas_store(spark, student_ds, seed):
     """A Spark store over the rows in a random order, spread over several
@@ -218,10 +325,4 @@ def test_shuffled_rows_equal_pandas_store(spark, student_ds, seed):
     ss = SparkStatsStore(
         spark.createDataFrame(pdf).repartition(4), student_ds.pattern_attrs
     )
-    ps = student_ds.pandas_store()
-    assert ss.n == ps.n
-    assert ss.domains == ps.domains
-    assert ss.value_bits == ps.value_bits
-    assert [ss.row_at_rank(k) for k in range(1, ss.n + 1)] == [
-        ps.row_at_rank(k) for k in range(1, ps.n + 1)
-    ]
+    _assert_same_store(ss, student_ds.pandas_store())
