@@ -11,7 +11,6 @@ from repro.core.pattern import (  # noqa: F401
     parents,
     pattern_to_str,
     satisfies,
-    values,
 )
 from repro.core.bounds import (  # noqa: F401
     GlobalSpec,
@@ -20,9 +19,8 @@ from repro.core.bounds import (  # noqa: F401
 )
 from repro.core.topdown import top_down_search  # noqa: F401
 from repro.core.store import (  # noqa: F401
-    PandasStatsStore,
     PatternStat,
-    SparkStatsStore,
+    StatsStore,
 )
 from repro.core.result import SearchResult, SearchStats  # noqa: F401
 from repro.core.itertd import iter_td  # noqa: F401

@@ -13,11 +13,11 @@ from __future__ import annotations
 from repro.core.bounds import GlobalSpec, PropSpec, check_params
 from repro.core.pattern import EMPTY, Pattern, children, has_ancestor_in
 from repro.core.result import SearchResult, SearchStats
-from repro.core.store import BaseStatsStore, PatternStat
+from repro.core.store import PatternStat, StatsStore
 
 
 def substantial_patterns(
-    store: BaseStatsStore, tau: int
+    store: StatsStore, tau: int
 ) -> dict[Pattern, PatternStat]:
     """Every non-empty pattern with size ≥ τ_s: a walk down the search tree
     (Definition 4.1) that prunes a pattern below τ_s with its subtree.
@@ -39,7 +39,7 @@ def substantial_patterns(
 
 
 def brute_force(
-    store: BaseStatsStore,
+    store: StatsStore,
     spec: GlobalSpec | PropSpec,
     tau: int,
     k_min: int,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.core.bounds import GlobalSpec, check_params
 from repro.core.pattern import satisfies
 from repro.core.result import SearchResult, SearchStats, freeze
-from repro.core.store import BaseStatsStore
+from repro.core.store import StatsStore
 from repro.core.topdown import (
     normalize_frontier,
     resume_search,
@@ -34,7 +34,7 @@ from repro.core.topdown import (
 
 
 def global_bounds(
-    store: BaseStatsStore,
+    store: StatsStore,
     spec: GlobalSpec,
     tau: int,
     k_min: int,

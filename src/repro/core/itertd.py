@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from repro.core.bounds import GlobalSpec, PropSpec, check_params
 from repro.core.result import SearchResult, SearchStats, freeze
-from repro.core.store import BaseStatsStore
+from repro.core.store import StatsStore
 from repro.core.topdown import normalize_frontier, top_down_search
 
 
 def iter_td(
-    store: BaseStatsStore,
+    store: StatsStore,
     spec: GlobalSpec | PropSpec,
     tau: int,
     k_min: int,

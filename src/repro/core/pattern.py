@@ -23,11 +23,6 @@ def attr_indices(p: Pattern) -> tuple[int, ...]:
     return tuple(a for a, _ in p)
 
 
-def values(p: Pattern) -> tuple[str, ...]:
-    """The value assignments of ``p`` in attribute-index order."""
-    return tuple(v for _, v in p)
-
-
 def max_index(p: Pattern) -> int:
     """``idx(Attr(p))`` of Definition 4.1; ``-1`` for the empty pattern."""
     return p[-1][0] if p else -1
@@ -57,14 +52,6 @@ def parents(p: Pattern) -> Iterator[Pattern]:
     """All parents of ``p`` in the *pattern graph* (one pair removed)."""
     for i in range(len(p)):
         yield p[:i] + p[i + 1 :]
-
-
-def tree_parent(p: Pattern) -> Pattern:
-    """The unique parent of ``p`` in the *search tree*: ``p`` minus its
-    maximal-index pair (Definition 4.1 makes this the only tree edge)."""
-    if not p:
-        raise ValueError("the empty pattern has no parent")
-    return p[:-1]
 
 
 def children(

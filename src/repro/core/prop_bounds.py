@@ -27,7 +27,7 @@ stored: it is ``violating − Res``, read only by the invariant check.
 Expansion and the selective walk carry each node's bitmap down the tree: a
 child's bitmap is its parent's AND one value bitmap. Expansion runs
 Algorithm 1's extension loop over the store's extension list
-(:meth:`~repro.core.store.BaseStatsStore.extensions`): one AND and one
+(:meth:`~repro.core.store.StatsStore.extensions`): one AND and one
 popcount decide τ_s, and only a substantial child is built as a pattern.
 Only ``fire_k_tilde``, which reaches ``K`` entries out of tree order, looks
 patterns up with ``stat()``. ``evaluate`` resolves the bound to the spec's
@@ -47,7 +47,7 @@ from __future__ import annotations
 from repro.core.bounds import PropSpec, check_params
 from repro.core.pattern import EMPTY, Pattern, has_ancestor_in
 from repro.core.result import SearchResult, SearchStats, freeze
-from repro.core.store import BaseStatsStore
+from repro.core.store import StatsStore
 from repro.core.topdown import normalize_frontier
 
 
@@ -56,7 +56,7 @@ class _PropState:
 
     def __init__(
         self,
-        store: BaseStatsStore,
+        store: StatsStore,
         spec: PropSpec,
         tau: int,
         stats: SearchStats,
@@ -183,7 +183,7 @@ class _PropState:
 
 
 def prop_bounds(
-    store: BaseStatsStore,
+    store: StatsStore,
     spec: PropSpec,
     tau: int,
     k_min: int,

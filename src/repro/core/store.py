@@ -1,37 +1,32 @@
-"""Pattern-statistics stores: the data substrate of the search algorithms.
+"""The pattern-statistics store: the data substrate of the search algorithms.
 
-A store collects the ranked table to the driver once, at construction; the
-rows give ``n``, ``domains`` and ``row_at_rank``. From them it builds one
-bitmap per (attribute, value) — a Python ``int`` whose bit ``r − 1`` is set
-iff the tuple at rank ``r`` has that value, the vertical "tidset" layout of
-Zaki's Eclat. A pattern's bitmap is the AND of its pairs' bitmaps, so
-``s_D(p)`` is its popcount and ``s_{R^k(D)}(p)`` for *any* ``k`` the
-popcount under a k-bit mask — one set of bitmaps serves the entire k-range
-and every algorithm, so runtime differences between ITERTD and the
-optimized algorithms reflect patterns examined (the paper's metric), not
-redundant counting. Pattern bitmaps are never cached: the search derives
-each child's bitmap from its parent's, one AND per child, as Eclat extends
-a prefix's tidset by one item's. The extensions of a node are a list built
-at construction (:meth:`BaseStatsStore.extensions`): the ``(pair, value
-bitmap)`` of every search-tree child, the same list for every node with the
-same largest attribute, so the search builds a child's pattern tuple only
-once its popcount has passed τ_s. ``stat()`` serves patterns reached out of
-tree order and the oracle. So a store's memory grows with the number of
-values, not with the patterns examined.
+A store reads the ranked table once, at construction; the rows give ``n``,
+``domains`` and ``row_at_rank``. From them it builds one bitmap per
+(attribute, value) — a Python ``int`` whose bit ``r − 1`` is set iff the
+tuple at rank ``r`` has that value, the vertical "tidset" layout of Zaki's
+Eclat. A pattern's bitmap is the AND of its pairs' bitmaps, so ``s_D(p)``
+is its popcount and ``s_{R^k(D)}(p)`` for *any* ``k`` the popcount under a
+k-bit mask — one set of bitmaps serves the entire k-range and every
+algorithm, so runtime differences between ITERTD and the optimized
+algorithms reflect patterns examined (the paper's metric), not redundant
+counting. Pattern bitmaps are never cached: the search derives each
+child's bitmap from its parent's, one AND per child, as Eclat extends a
+prefix's tidset by one item's. The extensions of a node are a list built at
+construction (:meth:`StatsStore.extensions`): the ``(pair, value bitmap)``
+of every search-tree child, the same list for every node with the same
+largest attribute, so the search builds a child's pattern tuple only once
+its popcount has passed τ_s. ``stat()`` serves patterns reached out of tree
+order and the oracle. So a store's memory grows with the number of values,
+not with the patterns examined.
 
-Both stores build the bitmaps on the driver, one pass per attribute
-(``BaseStatsStore._aggregate``); they differ only in where the rows come
-from:
-
-* :class:`SparkStatsStore` — a ranked Spark DataFrame, read as it is given
-  with one plain ``collect()`` (no projection, so every store over one
-  DataFrame reuses its planned query) and ordered by rank on the driver, so
-  Spark runs no sort;
-* :class:`PandasStatsStore` — a ranked pandas DataFrame.
-
-Values are keyed as strings by :func:`value_key`. A null is one value of
-its own, ``'None'``, in both stores, as in Spark and SQL ``GROUP BY``: nulls
-form a group, appear in ``domains`` and match patterns such as
+The ranked table is a pandas or a Spark DataFrame. Only the source step
+differs between the two: the column names and the rank column's type come
+from the frame or from its Spark schema, and the rows from ``itertuples``
+or from one plain ``collect()``. The rest is one path for both: the fields
+are picked by position, the values keyed by :func:`value_key`, and the rows
+ordered by rank on the driver, where :func:`rank_order` checks the ranks.
+A null is one value of its own, ``'None'``, as in Spark and SQL ``GROUP
+BY``: nulls form a group, appear in ``domains`` and match patterns such as
 ``{A=None}``.
 """
 from __future__ import annotations
@@ -39,16 +34,37 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import pandas as pd
+from pandas.api.types import infer_dtype
 from pyspark.sql import DataFrame
 from pyspark.sql.types import NumericType
 
 from repro.core.pattern import Pattern
+
+#: The ``infer_dtype`` kinds of a numeric, non-boolean pandas column;
+#: ``'empty'`` is a column with no non-null value.
+_NUMERIC_KINDS = {
+    "integer", "floating", "mixed-integer-float", "decimal", "empty"
+}
 
 
 def value_key(v: object) -> str:
     """The key of a value in a pattern: ``'None'`` for any null (None,
     NaN, NaT, ``pd.NA``), else ``str(v)``."""
     return "None" if pd.isna(v) else str(v)
+
+
+def rank_order(ranks: Sequence[object], what: str) -> list[int]:
+    """The positions of ``ranks`` in rank order; ``ValueError`` unless they
+    are exactly the numbers ``1..n``, each once, in any order. A null —
+    tested with ``pd.isna``, as :func:`value_key` tests it — fails before
+    any rank is compared, so a ``pd.NA`` never reaches a comparison."""
+    ranks = list(ranks)
+    n = len(ranks)
+    if not pd.isna(ranks).any():
+        order = sorted(range(n), key=ranks.__getitem__)
+        if [ranks[i] for i in order] == list(range(1, n + 1)):
+            return order
+    raise ValueError(f"{what} must be exactly 1..n")
 
 
 def _positions(columns: Sequence[str], names: Sequence[str]) -> list[int]:
@@ -73,18 +89,40 @@ class PatternStat(NamedTuple):
         return (self.bits & ((1 << k) - 1)).bit_count()
 
 
-class BaseStatsStore:
-    """Shared collection, bitmap and lookup logic."""
+class StatsStore:
+    """Pattern statistics over a ranked pandas or Spark DataFrame.
 
-    def __init__(self, attr_names: Sequence[str], rank_col: str = "rank"):
+    ``table`` must carry the pattern attributes plus a dense 1-based rank
+    column (see ``repro.ranking.rankers``); other columns may be present.
+    The rank column must be numeric and not boolean — by its Spark type, or
+    by ``infer_dtype`` for a pandas column — and its values exactly the
+    numbers ``1..n``, each once: integers of any width, or floating-point or
+    decimal whole numbers. Fractional, null, gapped and duplicated ranks
+    raise ``ValueError``. So do a missing attribute or rank column and a
+    non-numeric or boolean rank column, before any row is read.
+
+    A Spark table is read with one plain ``collect()`` on ``table`` itself,
+    with no projection, cast or ``orderBy``: every store built over one
+    DataFrame reuses that DataFrame's planned query, and Spark skips the
+    stages it has already materialised (such as ``add_rank``'s ranking
+    shuffle). The rows are ordered by rank on the driver: over a table
+    spread across partitions, a Spark ``orderBy`` adds a range-partition
+    sampling job and a sort shuffle for rows the driver receives anyway.
+    Every statistic comes from the bitmaps of the rows read, so the
+    DataFrame is not cached.
+    """
+
+    def __init__(
+        self,
+        table: pd.DataFrame | DataFrame,
+        attr_names: Sequence[str],
+        rank_col: str = "rank",
+    ):
         self.attr_names = list(attr_names)
         self.rank_col = rank_col
-        ranked = self._collect_rows()
-        self.n = len(ranked)
-        if [r for r, _ in ranked] != list(range(1, self.n + 1)):
-            raise ValueError(f"{rank_col!r} must be exactly 1..n")
         #: Pattern-attribute values of the tuple at rank k, at ``k - 1``.
-        self._rows = [row for _, row in ranked]
+        self._rows = self._collect_rows(table)
+        self.n = len(self._rows)
         #: The bitmap of the empty pattern: every tuple.
         self.all_bits = (1 << self.n) - 1
         #: ``{value: bitmap}`` of each attribute, at its index.
@@ -106,10 +144,34 @@ class BaseStatsStore:
             for j in range(m + 1)
         ]
 
-    def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
-        """``(rank, pattern-attribute values)`` of every tuple, ordered by
-        rank."""
-        raise NotImplementedError
+    def _collect_rows(
+        self, table: pd.DataFrame | DataFrame
+    ) -> list[tuple[str, ...]]:
+        """The keyed pattern-attribute values of every tuple of ``table``,
+        ordered by rank."""
+        names = [self.rank_col, *self.attr_names]
+        if isinstance(table, pd.DataFrame):
+            rank_at, *attr_at = _positions(table.columns, names)
+            rank_type = infer_dtype(table.iloc[:, rank_at], skipna=True)
+            numeric = rank_type in _NUMERIC_KINDS
+            read = lambda: list(table.itertuples(index=False, name=None))
+        else:
+            schema = table.schema
+            rank_at, *attr_at = _positions(schema.names, names)
+            spark_type = schema[rank_at].dataType
+            rank_type = spark_type.simpleString()
+            numeric = isinstance(spark_type, NumericType)
+            read = table.collect
+        if not numeric:
+            raise ValueError(
+                f"{self.rank_col!r} must be numeric, got {rank_type}"
+            )
+        records = read()
+        order = rank_order([r[rank_at] for r in records], repr(self.rank_col))
+        return [
+            tuple([value_key(r[i]) for i in attr_at])
+            for r in map(records.__getitem__, order)
+        ]
 
     def _aggregate(self, i: int) -> dict[str, int]:
         """The bitmap of every value of attribute ``i``, in one pass over
@@ -156,87 +218,16 @@ class BaseStatsStore:
         (needed by the incremental algorithms)."""
         return self._rows[k - 1]
 
-
-class PandasStatsStore(BaseStatsStore):
-    """Pattern statistics over a pandas DataFrame (tests / brute force)."""
-
-    def __init__(
-        self,
-        pdf: pd.DataFrame,
-        attr_names: Sequence[str],
-        rank_col: str = "rank",
-    ):
-        self._pdf = pdf
-        super().__init__(attr_names, rank_col)
-
-    def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
-        _positions(self._pdf.columns, [self.rank_col, *self.attr_names])
-        ordered = self._pdf.sort_values(self.rank_col)
-        return [
-            (rank, tuple(value_key(v) for v in row))
-            for rank, *row in ordered[[self.rank_col, *self.attr_names]]
-            .itertuples(index=False)
-        ]
-
-
-class SparkStatsStore(BaseStatsStore):
-    """Pattern statistics over a Spark DataFrame, counted on the driver.
-
-    ``df`` must carry the pattern attributes plus a dense 1-based ``rank``
-    column (see ``repro.ranking.rankers``); other columns may be present.
-    The rank column's values must be exactly the integers ``1..n``, each
-    once: an integral Spark type (``byte`` to ``long``) as ``add_rank``
-    gives, or a floating-point or decimal type whose values are whole
-    numbers. Fractional, null, gapped and duplicated ranks raise
-    ``ValueError``. So do a missing attribute or rank column and a
-    non-numeric rank column, before any Spark job runs.
-
-    Construction runs one plain ``collect()`` on ``df`` itself, with no
-    projection, cast or ``orderBy``: every store built over one DataFrame
-    reuses that DataFrame's planned query, and Spark skips the stages it
-    has already materialised (such as ``add_rank``'s ranking shuffle).
-    The attribute and rank fields are picked by position on the driver,
-    and the rows ordered by rank there: over a table spread across
-    partitions, a Spark ``orderBy`` adds a range-partition sampling job and
-    a sort shuffle for rows the driver receives anyway. Every statistic
-    comes from the bitmaps of the collected rows, so the DataFrame is not
-    cached. The attributes are collected as they are typed and keyed on
-    the driver with :func:`value_key`, as the pandas store keys its cells,
-    so both stores give a value, a NaN included, the same key.
-    ``__init__``, ``_aggregate`` and ``_collect_rows`` are bound by name
-    on this class by the benchmark's span tracer.
-    """
-
-    def __init__(
-        self,
-        df: DataFrame,
-        attr_names: Sequence[str],
-        rank_col: str = "rank",
-    ):
-        self._df = df
-        super().__init__(attr_names, rank_col)
-
-    def _collect_rows(self) -> list[tuple[object, tuple[str, ...]]]:
-        schema = self._df.schema
-        rank_at, *attr_at = _positions(
-            schema.names, [self.rank_col, *self.attr_names]
-        )
-        rank_type = schema[rank_at].dataType
-        if not isinstance(rank_type, NumericType):
-            raise ValueError(
-                f"{self.rank_col!r} must be numeric, got "
-                f"{rank_type.simpleString()}"
-            )
-        ranked = [
-            (r[rank_at], tuple([value_key(r[i]) for i in attr_at]))
-            for r in self._df.collect()
-        ]
-        # A null rank sorts first instead of failing the comparison, so the
-        # base class's 1..n check rejects it.
-        ranked.sort(key=lambda row: (row[0] is not None, row[0] or 0))
-        return ranked
-
     def unpersist(self) -> None:
-        """Nothing to release: the DataFrame is read once and never cached.
+        """Nothing to release: the table is read once and never cached.
         Kept because the benchmark (``perfbench/workloads.detect``) calls
         it on every store it builds."""
+
+
+# Aliases of the one store class, so that the benchmark's span tracer
+# (``perfbench/spans.py``) sees every store, whatever its table.
+#: Exists only for the tracer, which binds ``stat`` (ROADMAP item 1).
+BaseStatsStore = StatsStore
+#: Exists only for the tracer, which binds ``__init__``, ``_aggregate``,
+#: ``prefetch``, ``_prefetch_batch`` and ``_collect_rows`` (ROADMAP item 1).
+SparkStatsStore = StatsStore

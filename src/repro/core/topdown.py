@@ -9,7 +9,7 @@ A depth-first walk from the children of the start node. Pruning rules
 * otherwise expand ``p``'s search-tree children (Definition 4.1).
 
 The walk keeps a list stack of ``(pattern, bitmap)`` pairs. Expanding a
-node reads its extension list (:meth:`BaseStatsStore.extensions`, the
+node reads its extension list (:meth:`StatsStore.extensions`, the
 ``(pair, value bitmap)`` of every child, shared by all nodes with the same
 largest attribute) and, per extension, ANDs the node's bitmap with the value
 bitmap and takes its popcount: that decides τ_s, so a pruned child is never
@@ -40,7 +40,7 @@ from repro.core.pattern import (
     max_index,
 )
 from repro.core.result import SearchStats
-from repro.core.store import BaseStatsStore
+from repro.core.store import StatsStore
 
 
 def child_attr_sets(p: Pattern, n_attrs: int) -> list[tuple[int, ...]]:
@@ -52,7 +52,7 @@ def child_attr_sets(p: Pattern, n_attrs: int) -> list[tuple[int, ...]]:
 
 
 def top_down_search(
-    store: BaseStatsStore,
+    store: StatsStore,
     spec: GlobalSpec | PropSpec,
     tau: int,
     k: int,
@@ -68,7 +68,7 @@ def top_down_search(
 
 
 def resume_search(
-    store: BaseStatsStore,
+    store: StatsStore,
     spec: GlobalSpec | PropSpec,
     tau: int,
     k: int,
@@ -82,7 +82,7 @@ def resume_search(
 
 
 def _search_below(
-    store: BaseStatsStore,
+    store: StatsStore,
     spec: GlobalSpec | PropSpec,
     tau: int,
     k: int,

@@ -7,7 +7,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.store import PandasStatsStore, SparkStatsStore
+from repro.core.store import StatsStore, rank_order
 
 
 @dataclass
@@ -31,21 +31,22 @@ class RankedDataset:
     rank_col: str = "rank"
 
     def __post_init__(self) -> None:
-        ranks = sorted(self.pdf[self.rank_col].tolist())
-        if ranks != list(range(1, len(self.pdf) + 1)):
-            raise ValueError(f"{self.name}: rank must be a dense 1..n column")
+        rank_order(
+            self.pdf[self.rank_col].tolist(),
+            f"{self.name}: rank column {self.rank_col!r}",
+        )
 
     @property
     def n(self) -> int:
         return len(self.pdf)
 
-    def pandas_store(self) -> PandasStatsStore:
-        return PandasStatsStore(self.pdf, self.pattern_attrs, self.rank_col)
+    def pandas_store(self) -> StatsStore:
+        return StatsStore(self.pdf, self.pattern_attrs, self.rank_col)
 
-    def spark_store(self) -> SparkStatsStore:
+    def spark_store(self) -> StatsStore:
         if self.df is None:
             raise ValueError(f"{self.name} has no Spark DataFrame attached")
-        return SparkStatsStore(self.df, self.pattern_attrs, self.rank_col)
+        return StatsStore(self.df, self.pattern_attrs, self.rank_col)
 
     def with_attrs(self, m: int) -> "RankedDataset":
         """A view restricted to the first ``m`` pattern attributes — the

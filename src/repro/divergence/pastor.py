@@ -23,11 +23,11 @@ import pandas as pd
 
 from repro.core.bounds import check_params
 from repro.core.brute_force import substantial_patterns
-from repro.core.store import BaseStatsStore
+from repro.core.store import StatsStore
 
 
 def divergence_subgroups(
-    store: BaseStatsStore, k: int, min_support: float
+    store: StatsStore, k: int, min_support: float
 ) -> pd.DataFrame:
     """All subgroups over the store's attributes with support ≥
     ``min_support``, with their divergence, most-negative first (ties by

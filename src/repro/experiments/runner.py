@@ -10,7 +10,7 @@ from repro.core import global_bounds, prop_bounds
 from repro.core.bounds import GlobalSpec, PropSpec
 from repro.core.itertd import iter_td
 from repro.core.result import SearchStats, SearchTimeout
-from repro.core.store import BaseStatsStore
+from repro.core.store import StatsStore
 
 #: The optimized algorithm of each problem, keyed by the type of its bound
 #: spec. The baseline is ITERTD for both.
@@ -47,7 +47,7 @@ class RunOutcome:
 
 
 def run_algorithm(
-    store_factory: Callable[[], BaseStatsStore],
+    store_factory: Callable[[], StatsStore],
     algo: str,
     spec: GlobalSpec | PropSpec,
     tau: int,

@@ -20,7 +20,7 @@ from pyspark.sql import SparkSession
 from repro.core.global_bounds import global_bounds
 from repro.core.bounds import paper_default_global
 from repro.core.pattern import Pattern, pattern_to_str
-from repro.core.store import BaseStatsStore
+from repro.core.store import StatsStore
 from repro.datasets.base import RankedDataset
 from repro.experiments.sweeps import ATTR_CAP, DEFAULTS
 from repro.shapley import (
@@ -63,7 +63,7 @@ class ShapleyAnalysis:
 
 
 def pick_group(
-    store: BaseStatsStore, res_k: frozenset, dataset: str
+    store: StatsStore, res_k: frozenset, dataset: str
 ) -> Pattern:
     """The detected group to explain, in an order that does not depend on
     how ``res_k`` iterates: the smallest singleton over the paper's

@@ -10,7 +10,7 @@ import pandas as pd
 
 from repro.core.bounds import GlobalSpec
 from repro.core.pattern import EMPTY, children
-from repro.core.store import BaseStatsStore, PatternStat
+from repro.core.store import PatternStat, StatsStore
 from repro.datasets.base import RankedDataset
 
 
@@ -62,7 +62,7 @@ def random_params(seed: int, n: int) -> dict:
     }
 
 
-def assert_tree_children_match_stat(store: BaseStatsStore) -> int:
+def assert_tree_children_match_stat(store: StatsStore) -> int:
     """Walk the whole search tree through ``store.extensions``, from the
     empty pattern's bitmap, without τ_s pruning, deriving each child as the
     search does: ``p + pair`` with bitmap ``bits & value bitmap``. At every

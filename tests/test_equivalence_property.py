@@ -22,7 +22,7 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import GlobalSpec, PandasStatsStore, PropSpec, iter_td
+from repro.core import GlobalSpec, PropSpec, StatsStore, iter_td
 from repro.core.brute_force import brute_force
 from repro.core.global_bounds import global_bounds
 from repro.core.pattern import children
@@ -33,10 +33,10 @@ from tests.helpers import assert_tree_children_match_stat
 
 
 @st.composite
-def ranked_tables(draw):
-    """``(store, global spec, α, τ_s)`` for a random table of 1–12 rows
-    over 1–3 attributes, each with 1–4 values from ``x, None, y, z`` (1
-    makes it constant)."""
+def ranked_frames(draw):
+    """``(table, global spec, α, τ_s)`` for a random ranked pandas table of
+    1–12 rows over 1–3 attributes, each with 1–4 values from ``x, None,
+    y, z`` (1 makes it constant)."""
     n = draw(st.integers(1, 12))
     columns = {
         f"A{i}": draw(st.lists(
@@ -54,7 +54,18 @@ def ranked_tables(draw):
     spec = GlobalSpec(dict(zip(sorted(starts), sorted(bounds))))
     alpha = draw(st.integers(1, 20)) / 10
     tau = draw(st.sampled_from([1, n]))
-    return PandasStatsStore(pdf, list(columns)), spec, alpha, tau
+    return pdf, spec, alpha, tau
+
+
+def _store(frame):
+    pdf, *rest = frame
+    return (StatsStore(pdf, list(pdf.columns[:-1])), *rest)
+
+
+def ranked_tables():
+    """``(store, global spec, α, τ_s)``: ``ranked_frames`` with the table
+    replaced by a store over its attribute columns."""
+    return ranked_frames().map(_store)
 
 
 def _runs(global_spec, alpha):
@@ -98,11 +109,13 @@ def test_tau_filter(table, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(ranked_tables())
-def test_attribute_order_permutation(table):
-    store, global_spec, alpha, tau = table
-    n, m = store.n, len(store.attr_names)
-    reversed_store = PandasStatsStore(store._pdf, store.attr_names[::-1])
+@given(ranked_frames())
+def test_attribute_order_permutation(frame):
+    pdf, global_spec, alpha, tau = frame
+    attrs = list(pdf.columns[:-1])
+    store = StatsStore(pdf, attrs)
+    reversed_store = StatsStore(pdf, attrs[::-1])
+    n, m = store.n, len(attrs)
 
     def remap(p):
         return tuple(sorted((m - 1 - a, v) for a, v in p))

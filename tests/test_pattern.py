@@ -12,8 +12,6 @@ from repro.core.pattern import (
     parents,
     pattern_to_str,
     satisfies,
-    tree_parent,
-    values,
 )
 
 DOMAINS = [["a", "b"], ["x", "y", "z"], ["0", "1"]]
@@ -21,14 +19,12 @@ DOMAINS = [["a", "b"], ["x", "y", "z"], ["0", "1"]]
 
 def test_empty_pattern_basics():
     assert attr_indices(EMPTY) == ()
-    assert values(EMPTY) == ()
     assert max_index(EMPTY) == -1
 
 
 def test_attr_indices_and_values():
     p = ((0, "a"), (2, "1"))
     assert attr_indices(p) == (0, 2)
-    assert values(p) == ("a", "1")
     assert max_index(p) == 2
 
 
@@ -80,12 +76,6 @@ def test_parents_enumerates_pattern_graph_edges():
         ((0, "a"), (2, "0")),
         ((0, "a"), (1, "x")),
     }
-
-
-def test_tree_parent_removes_max_index_pair():
-    assert tree_parent(((0, "a"), (2, "1"))) == ((0, "a"),)
-    with pytest.raises(ValueError):
-        tree_parent(EMPTY)
 
 
 def test_children_of_root_covers_all_single_attr_patterns():
@@ -152,7 +142,8 @@ def test_has_ancestor_in_matches_set_containment(p, pool):
 @given(st.integers(0, 30))
 def test_search_tree_parent_unique(seed):
     """Every non-empty pattern reachable from the root has exactly one tree
-    parent — the search tree is a tree (each pattern visited once)."""
+    parent, itself minus its maximal-index pair (Definition 4.1) — the
+    search tree is a tree (each pattern visited once)."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -167,4 +158,4 @@ def test_search_tree_parent_unique(seed):
             seen[c] = p
             stack.append(c)
     for c, par in seen.items():
-        assert par == tree_parent(c)
+        assert par == c[:-1]

@@ -1,17 +1,19 @@
-"""Unit tests for the pandas pattern-statistics store (driver-only)."""
+"""Unit tests for the pattern-statistics store over a pandas table
+(driver-only), and the checks of its rank column."""
 from itertools import product
 
 import pandas as pd
 import pytest
 
-from repro.core.store import PandasStatsStore, PatternStat
+from repro.core.store import PatternStat, StatsStore
+from repro.datasets.base import RankedDataset
 from repro.datasets.paper_example import paper_example
 from tests.helpers import assert_tree_children_match_stat
 
 
 @pytest.fixture(scope="module")
 def store():
-    return PandasStatsStore(
+    return StatsStore(
         paper_example().pdf, ["Gender", "School", "Address", "Failures"]
     )
 
@@ -51,7 +53,7 @@ class TestStoreBasics:
         assert st.size == 6  # tuples 1,2,5,9,10,11
 
     def test_missing_combo_is_none(self, store):
-        fresh = PandasStatsStore(
+        fresh = StatsStore(
             paper_example().pdf, ["Gender", "School", "Address", "Failures"]
         )
         assert fresh.stat(((0, "X"),)) == PatternStat(0, 0)
@@ -99,7 +101,7 @@ class TestStoreBasics:
 
     def test_values_normalized_to_str(self):
         pdf = pd.DataFrame({"A": [1, 1, 2], "rank": [1, 2, 3]})
-        s = PandasStatsStore(pdf, ["A"])
+        s = StatsStore(pdf, ["A"])
         assert s.stat(((0, "1"),)).size == 2
 
 
@@ -107,4 +109,39 @@ class TestStoreBasics:
 def test_rank_column_must_be_1_to_n(ranks):
     pdf = pd.DataFrame({"A": ["x", "y"], "rank": ranks})
     with pytest.raises(ValueError, match="1..n"):
-        PandasStatsStore(pdf, ["A"])
+        StatsStore(pdf, ["A"])
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [
+        pd.array([pd.NA, 1], dtype="Int64"),
+        pd.array([2, pd.NA], dtype="Int64"),
+        pd.Series([None, 1], dtype=object),
+        pd.Series([2.0, float("nan")]),
+    ],
+    ids=["NA-first", "NA-last", "object-None", "float-NaN"],
+)
+def test_null_rank_rejected(ranks):
+    """A null rank of any kind fails the 1..n check, in the store and in
+    ``RankedDataset``, instead of reaching a comparison (``pd.NA`` raises
+    ``TypeError`` there)."""
+    pdf = pd.DataFrame({"A": ["x", "y"], "rank": ranks})
+    with pytest.raises(ValueError, match="1..n"):
+        StatsStore(pdf, ["A"])
+    with pytest.raises(ValueError, match="1..n"):
+        RankedDataset(name="null", pdf=pdf, pattern_attrs=["A"])
+
+
+def test_nullable_integer_rank_accepted():
+    """An ``Int64`` rank column without nulls is an integral column like
+    any other."""
+    pdf = pd.DataFrame({
+        "A": ["x", "y", "x"],
+        "rank": pd.array([3, 1, 2], dtype="Int64"),
+    })
+    store = StatsStore(pdf, ["A"])
+    assert [store.row_at_rank(k) for k in (1, 2, 3)] == [
+        ("y",), ("x",), ("x",)
+    ]
+    assert RankedDataset(name="ok", pdf=pdf, pattern_attrs=["A"]).n == 3

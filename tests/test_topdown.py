@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import GlobalSpec, PandasStatsStore, PropSpec, iter_td
+from repro.core import GlobalSpec, PropSpec, StatsStore, iter_td
 from repro.core.global_bounds import global_bounds
 from repro.core.prop_bounds import prop_bounds
 from repro.core.pattern import EMPTY, satisfies
@@ -122,7 +122,7 @@ def _wide_store():
         f"A{i}": rng.integers(0, 3, 200).astype(str) for i in range(6)
     })
     pdf["rank"] = rng.permutation(200) + 1
-    return PandasStatsStore(pdf, [f"A{i}" for i in range(6)])
+    return StatsStore(pdf, [f"A{i}" for i in range(6)])
 
 
 @pytest.mark.parametrize(

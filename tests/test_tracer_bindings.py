@@ -5,7 +5,7 @@ that renaming a function or moving its ``k`` fails here and not only in a
 traced benchmark run. No Spark session is started."""
 from perfbench.spans import Tracer, _targets, traced
 
-from repro.core import GlobalSpec, PropSpec
+from repro.core import GlobalSpec, PropSpec, store
 from repro.core.global_bounds import global_bounds
 from repro.core.prop_bounds import prop_bounds
 
@@ -46,3 +46,23 @@ def test_global_restarts_where_bound_steps_up(paper_ds):
     restarts = {k for k, v in tracer.per_k.items() if v.get("restarts")}
     assert restarts == {k for k in range(4, 15) if spec.L(k) > spec.L(k - 1)}
     assert restarts == {6, 11}
+
+
+def test_tracer_sees_a_pandas_table_store(paper_ds):
+    """The tracer's store names are the one store class, so a store over a
+    pandas table makes the same store spans as one over a Spark table: one
+    ``store.init``, one ``store.collect_rows`` reading every tuple and one
+    ``store.aggregate`` per attribute, each adding its value count."""
+    assert store.SparkStatsStore is store.BaseStatsStore is store.StatsStore
+    tracer = Tracer()
+    tracer.begin("none", 1, 1)
+    with traced(tracer):
+        built = store.StatsStore(paper_ds.pdf, paper_ds.pattern_attrs)
+    m = len(paper_ds.pattern_attrs)
+    assert tracer.calls("store.init") == 1
+    assert tracer.calls("store.collect_rows") == 1
+    assert tracer.calls("store.aggregate") == m
+    assert tracer.counters["aggregations"] == m
+    assert tracer.counters["rows_collected"] == built.n + sum(
+        len(d) for d in built.domains
+    )
