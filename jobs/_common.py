@@ -15,6 +15,7 @@ from pyspark.sql import SparkSession
 
 from repro.datasets import compas, german_credit, student
 from repro.datasets.base import RankedDataset
+from repro.experiments import format_rows, sweep
 
 
 def get_spark(app: str) -> SparkSession:
@@ -60,3 +61,25 @@ def emit(title: str, body: str) -> None:
     print(f"\n## {title}\n", flush=True)
     print(body, flush=True)
     sys.stdout.flush()
+
+
+def figure_job(
+    spark: SparkSession | None,
+    fast: bool,
+    timeout: float,
+    problem: str,
+    axis: str,
+    title: str,
+    grids: dict[str, list[int]],
+    fast_grid: list[int],
+) -> dict[str, list[dict]]:
+    """The body of the figure jobs T1–T6: on each dataset, sweep ``axis``
+    over the dataset's grid (``fast_grid`` under --fast), print the table
+    as ``title — dataset`` and return ``{dataset: rows}``."""
+    spark = spark or get_spark(f"t_{axis}_{problem}")
+    out = {}
+    for name, ds in load_datasets(spark, fast).items():
+        grid = fast_grid if fast else grids[name]
+        out[name] = sweep(ds, problem, axis, grid, timeout_s=timeout)
+        emit(f"{title} — {name}", format_rows(out[name], axis))
+    return out

@@ -25,7 +25,7 @@ import t10_case_study
 import t11_result_sizes
 
 
-def main(spark=None, fast: bool = False, timeout: float = 60.0) -> None:
+def main(spark=None, fast: bool = False, timeout: float = 120.0) -> None:
     spark = spark or get_spark("run_all")
     t0 = time.time()
 

@@ -7,10 +7,7 @@ Usage: spark-submit jobs/t5_krange_global.py [--fast] [--timeout S]
 """
 from __future__ import annotations
 
-from _common import emit, get_spark, load_datasets, parse_args
-from repro.datasets.base import RankedDataset
-from repro.experiments import format_rows, sweep_krange
-from repro.experiments.sweeps import ATTR_CAP
+from _common import figure_job, parse_args
 
 K_GRIDS = {
     "student": [50, 150, 250, 350],
@@ -21,18 +18,10 @@ FAST_GRID = [20, 40]
 
 
 def main(spark=None, fast: bool = False, timeout: float = 120.0, problem: str = "global") -> dict:
-    spark = spark or get_spark(f"t_krange_{problem}")
-    out = {}
-    for name, ds in load_datasets(spark, fast).items():
-        grid = FAST_GRID if fast else K_GRIDS[name]
-        grid = [k for k in grid if k <= ds.n]
-        rows = sweep_krange(
-            ds.with_attrs(ATTR_CAP), problem, grid, RankedDataset.spark_store,
-            timeout_s=timeout,
-        )
-        out[name] = rows
-        emit(f"{problem} bounds, k-range sweep — {name}", format_rows(rows, "k_max"))
-    return out
+    return figure_job(
+        spark, fast, timeout, problem, "k_max",
+        f"{problem} bounds, k-range sweep", K_GRIDS, FAST_GRID,
+    )
 
 
 if __name__ == "__main__":

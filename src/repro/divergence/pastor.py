@@ -8,9 +8,9 @@ has outcome ``o(G)`` = mean outcome of its tuples and divergence
 ``min_support`` (most general or not — unlike the paper's algorithms),
 ranked by divergence.
 
-Implementation: the frequent subgroups are the substantial patterns at
-``τ_s = ⌈min_support · n⌉`` (an integer size reaches ``min_support · n``
-iff it reaches its ceiling), enumerated by brute force's τ_s-pruned
+Implementation: a subgroup is reported iff ``size / n ≥ min_support``.
+The frequent subgroups are the substantial patterns at τ_s = the smallest
+size that passes that test, enumerated by brute force's τ_s-pruned
 search-tree walk over the same statistics store the detection algorithms
 read; a subgroup's size and top-k count are ``s_D(p)`` and
 ``s_{R^k(D)}(p)``.
@@ -41,7 +41,14 @@ def divergence_subgroups(
     if not 0 < min_support <= 1:
         raise ValueError("min_support must be in (0, 1]")
     n = store.n
-    tau = math.ceil(min_support * n)
+    # The smallest size with size / n ≥ min_support. Not the ceiling of
+    # min_support · n: the product can round past an integer (0.28 · 25 =
+    # 7.000000000000001) and so drop the groups whose support equals
+    # min_support.
+    tau = next(
+        size for size in range(max(1, math.floor(min_support * n) - 1), n + 1)
+        if size / n >= min_support
+    )
     check_params(n, tau, k, k)
     o_d = k / n
     rows = []

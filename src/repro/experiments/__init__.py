@@ -5,8 +5,6 @@ from repro.experiments.runner import RunOutcome, run_algorithm  # noqa: F401
 from repro.experiments.sweeps import (  # noqa: F401
     DEFAULTS,
     result_size_census,
-    sweep_krange,
-    sweep_num_attrs,
-    sweep_tau,
+    sweep,
 )
 from repro.experiments.tables import format_rows  # noqa: F401

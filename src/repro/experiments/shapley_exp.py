@@ -2,8 +2,8 @@
 and T9 (Fig. 10d–f value distributions, read off T8's analyses).
 
 For each dataset: detect groups with GLOBALBOUNDS at the paper's default
-bounds and range of k over the first ``ATTR_CAP`` attributes, pick the
-detected group analogous to the paper's example (mother's education for
+bounds and range of k over the first ``DEFAULTS.n_attrs`` attributes, pick
+the detected group analogous to the paper's example (mother's education for
 Student, the age bucket for COMPAS, account status for German Credit —
 falling back to the largest detected group), train the CART-forest ranker
 surrogate on all attributes, and aggregate Monte-Carlo Shapley values over
@@ -22,7 +22,7 @@ from repro.core.bounds import paper_default_global
 from repro.core.pattern import Pattern, pattern_to_str
 from repro.core.store import StatsStore
 from repro.datasets.base import RankedDataset
-from repro.experiments.sweeps import ATTR_CAP, DEFAULTS
+from repro.experiments.sweeps import DEFAULTS
 from repro.shapley import (
     RegressionForest,
     encode_features,
@@ -88,8 +88,8 @@ def shapley_analysis(
 ) -> ShapleyAnalysis:
     """Run detection + Shapley explanation for one dataset."""
     k = DEFAULTS.k_max
-    view = ds.with_attrs(ATTR_CAP)
-    store = view.pandas_store()
+    view = ds.with_attrs(DEFAULTS.n_attrs)
+    store = view.spark_store()
     spec = paper_default_global()
     res = global_bounds(store, spec, tau, DEFAULTS.k_min, k).res[k]
     if not res:

@@ -1,32 +1,31 @@
-"""Parameter sweeps behind the paper's Figures 4–9 and the in-text
+"""The parameter sweep behind the paper's Figures 4–9 and the in-text
 patterns-examined / result-size statistics.
 
-Each sweep point builds a *fresh* store per algorithm inside the timed
-run, so the measured time is end to end (store construction, its value
-bitmaps included) for baseline and optimized alike — the paper
-measures complete runs the same way. ``store_factory`` selects the
-substrate: ``RankedDataset.spark_store`` for the real experiments,
-``RankedDataset.pandas_store`` for fast smoke tests. A point at which both
-runs finish raises if their result sets differ, and a τ_s sweep raises if a
-finished row is not the smallest-τ finished row filtered by size.
+Each sweep point builds a *fresh* Spark store per algorithm inside the
+timed run, so the measured time is end to end (store construction, its
+value bitmaps included) for baseline and optimized alike — the paper
+measures complete runs the same way. A point at which both runs finish
+raises if their result sets differ, and a τ_s sweep raises if a finished
+row is not the smallest-τ finished row filtered by size.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.bounds import GlobalSpec, PropSpec
 from repro.datasets.base import RankedDataset
 from repro.experiments.runner import RunOutcome, run_algorithm
 
-StoreFactory = Callable[[RankedDataset], object]
-
 
 @dataclass(frozen=True)
 class Defaults:
-    """The paper's default parameters (Section VI-A)."""
+    """The paper's default parameters (Section VI-A). ``n_attrs`` caps the
+    attributes of the τ_s and k-range sweeps and the T8 detection (the
+    paper likewise capped attribute counts at what the baseline handled
+    within its timeout)."""
 
+    n_attrs: int = 10
     tau: int = 50
     k_min: int = 10
     k_max: int = 49
@@ -47,17 +46,11 @@ class Defaults:
 
 DEFAULTS = Defaults()
 
-#: The T3–T6 sweeps and the T8 detection run over the first ``ATTR_CAP``
-#: attributes (the paper likewise capped attribute counts at what the
-#: baseline handled within its timeout).
-ATTR_CAP = 10
-
 _ALGOS = ("baseline", "optimized")
 
 
 def _point(
     ds: RankedDataset,
-    store_factory: StoreFactory,
     spec: GlobalSpec | PropSpec,
     tau: int,
     k_min: int,
@@ -68,8 +61,7 @@ def _point(
     Raises if both finish with different result sets."""
     point = {
         algo: run_algorithm(
-            partial(store_factory, ds), algo, spec, tau, k_min, k_max,
-            timeout_s,
+            ds.spark_store, algo, spec, tau, k_min, k_max, timeout_s
         )
         for algo in _ALGOS
     }
@@ -82,48 +74,33 @@ def _point(
     return point
 
 
-def sweep_num_attrs(
+def sweep(
     ds: RankedDataset,
     problem: str,
-    attr_counts: Sequence[int],
-    store_factory: StoreFactory,
+    axis: str,
+    values: Sequence,
     defaults: Defaults = DEFAULTS,
     timeout_s: float | None = 120.0,
 ) -> list[dict]:
-    """Figures 4–5: runtime as a function of the number of attributes."""
+    """Runtime as a function of one parameter, the others held at
+    ``defaults``: ``axis`` is ``"n_attrs"`` (Figures 4–5), ``"tau"``
+    (Figures 6–7) or ``"k_max"`` (Figures 8–9, ``k_min`` fixed). Each row
+    holds the dataset name, the axis value under the axis name, and the
+    baseline and optimized outcomes."""
     rows = []
-    for m in attr_counts:
+    for value in values:
+        d = replace(defaults, **{axis: value})
         point = _point(
-            ds.with_attrs(m), store_factory, defaults.spec(problem),
-            defaults.tau, defaults.k_min, defaults.k_max, timeout_s,
+            ds.with_attrs(d.n_attrs), d.spec(problem), d.tau, d.k_min,
+            d.k_max, timeout_s,
         )
-        rows.append({"dataset": ds.name, "n_attrs": m, **point})
+        rows.append({"dataset": ds.name, axis: value, **point})
+    if axis == "tau":
+        _check_tau_filter(ds.with_attrs(defaults.n_attrs), rows)
     return rows
 
 
-def sweep_tau(
-    ds: RankedDataset,
-    problem: str,
-    taus: Sequence[int],
-    store_factory: StoreFactory,
-    defaults: Defaults = DEFAULTS,
-    timeout_s: float | None = 120.0,
-) -> list[dict]:
-    """Figures 6–7: runtime as a function of the size threshold τ_s."""
-    rows = []
-    for tau in taus:
-        point = _point(
-            ds, store_factory, defaults.spec(problem), tau,
-            defaults.k_min, defaults.k_max, timeout_s,
-        )
-        rows.append({"dataset": ds.name, "tau": tau, **point})
-    _check_tau_filter(ds, store_factory, rows)
-    return rows
-
-
-def _check_tau_filter(
-    ds: RankedDataset, store_factory: StoreFactory, rows: list[dict]
-) -> None:
+def _check_tau_filter(ds: RankedDataset, rows: list[dict]) -> None:
     """Raise unless every finished row of a τ_s sweep is the smallest-τ
     finished row filtered by size: ``Res_{τ2}(k) = {p ∈ Res_{τ1}(k) :
     s_D(p) ≥ τ2}`` for ``τ1 ≤ τ2`` (a substantial pattern's ancestors are
@@ -137,7 +114,7 @@ def _check_tau_filter(
     if len({tau for tau, _ in finished}) < 2:
         return
     tau1, low = min(finished, key=lambda f: f[0])
-    store = store_factory(ds)
+    store = ds.spark_store()
     size = {p: store.size(p) for groups in low.values() for p in groups}
     for tau2, res in finished:
         expected = {
@@ -149,27 +126,6 @@ def _check_tau_filter(
                 f"{ds.name}: the result sets at tau={tau2} are not those at "
                 f"tau={tau1} filtered by size"
             )
-
-
-def sweep_krange(
-    ds: RankedDataset,
-    problem: str,
-    k_maxes: Sequence[int],
-    store_factory: StoreFactory,
-    defaults: Defaults = DEFAULTS,
-    timeout_s: float | None = 120.0,
-) -> list[dict]:
-    """Figures 8–9: runtime as a function of the range of k
-    (``k_min`` fixed at the default, ``k_max`` varied)."""
-    rows = []
-    for k_max in k_maxes:
-        d = replace(defaults, k_max=k_max)
-        point = _point(
-            ds, store_factory, d.spec(problem), d.tau, d.k_min, d.k_max,
-            timeout_s,
-        )
-        rows.append({"dataset": ds.name, "k_max": k_max, **point})
-    return rows
 
 
 def examined_gain(point: dict[str, RunOutcome]) -> float | None:

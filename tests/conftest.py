@@ -20,7 +20,8 @@ def paper_ds():
 
 @pytest.fixture(scope="session")
 def paper_ds_spark(spark):
-    """Figure-1 running example with the Spark mirror attached."""
+    """Figure-1 running example with the Spark mirror attached (the sweep
+    tests build their stores from it)."""
     return paper_example(spark)
 
 

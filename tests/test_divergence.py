@@ -4,6 +4,7 @@ import itertools
 import pandas as pd
 import pytest
 
+from repro.core.store import StatsStore
 from repro.divergence import divergence_subgroups
 
 
@@ -18,7 +19,7 @@ def _pandas_reference(pdf, attrs, k, min_support):
             grouped = pdf.groupby(cols, sort=False)
             for key, grp in grouped:
                 key = key if isinstance(key, tuple) else (key,)
-                if len(grp) < min_support * n:
+                if len(grp) / n < min_support:
                     continue
                 outcome = float((grp["rank"] <= k).mean())
                 rows.append(
@@ -69,6 +70,17 @@ def test_divergence_formula(div_result, paper_ds):
 def test_support_threshold_enforced(paper_store):
     out = divergence_subgroups(paper_store, k=5, min_support=0.5)
     assert (out["size"] >= 8).all()
+
+
+def test_support_equal_to_min_support_reported():
+    """A group whose support is exactly ``min_support`` is reported, also
+    where ``min_support · n`` rounds above its size (0.28 · 25 =
+    7.000000000000001)."""
+    pdf = pd.DataFrame({"A": ["x"] * 7 + ["y"] * 18, "rank": range(1, 26)})
+    out = divergence_subgroups(StatsStore(pdf, ["A"]), k=5, min_support=7 / 25)
+    assert dict(zip(out["pattern"], out["size"])) == {
+        ((0, "x"),): 7, ((0, "y"),): 18,
+    }
 
 
 def test_empty_pattern_excluded(div_result):

@@ -1,5 +1,6 @@
 """Tests for the experiment harness (runner, sweeps, tables)."""
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -9,18 +10,15 @@ from repro.experiments import (
     DEFAULTS,
     format_rows,
     result_size_census,
-    sweep_krange,
-    sweep_num_attrs,
-    sweep_tau,
+    sweep,
 )
 from repro.experiments import runner, sweeps
 from repro.experiments.runner import RunOutcome, run_algorithm
 from repro.experiments.shapley_exp import pick_group
 from repro.experiments.sweeps import Defaults, examined_gain
-from repro.datasets.base import RankedDataset
 
 
-SMALL = Defaults(tau=3, k_min=3, k_max=10, alpha=0.8)
+SMALL = Defaults(n_attrs=4, tau=3, k_min=3, k_max=10, alpha=0.8)
 
 
 class TestRunner:
@@ -65,21 +63,17 @@ class TestRunner:
 
 class TestSweeps:
     @pytest.mark.parametrize("problem", ["global", "prop"])
-    def test_sweep_num_attrs(self, paper_ds, problem):
-        rows = sweep_num_attrs(
-            paper_ds, problem, [2, 3, 4],
-            RankedDataset.pandas_store, SMALL, None
+    def test_sweep_num_attrs(self, paper_ds_spark, problem):
+        rows = sweep(
+            paper_ds_spark, problem, "n_attrs", [2, 3, 4], SMALL, None
         )
         assert [r["n_attrs"] for r in rows] == [2, 3, 4]
         for r in rows:
             assert r["baseline"].res == r["optimized"].res
 
     @pytest.mark.parametrize("problem", ["global", "prop"])
-    def test_sweep_tau(self, paper_ds, problem):
-        rows = sweep_tau(
-            paper_ds, problem, [2, 4, 8],
-            RankedDataset.pandas_store, SMALL, None
-        )
+    def test_sweep_tau(self, paper_ds_spark, problem):
+        rows = sweep(paper_ds_spark, problem, "tau", [2, 4, 8], SMALL, None)
         for r in rows:
             assert r["baseline"].res == r["optimized"].res
         # Larger τ_s shrinks the search space (paper Fig. 6–7 trend).
@@ -88,10 +82,9 @@ class TestSweeps:
         )
 
     @pytest.mark.parametrize("problem", ["global", "prop"])
-    def test_sweep_krange(self, paper_ds, problem):
-        rows = sweep_krange(
-            paper_ds, problem, [8, 12, 16],
-            RankedDataset.pandas_store, SMALL, None
+    def test_sweep_krange(self, paper_ds_spark, problem):
+        rows = sweep(
+            paper_ds_spark, problem, "k_max", [8, 12, 16], SMALL, None
         )
         for r in rows:
             assert r["baseline"].res == r["optimized"].res
@@ -111,17 +104,18 @@ class TestSweeps:
         paper's defaults and at τ_s / k-range points of Figs. 6–9, the
         optimized algorithm returns ITERTD's result sets and examines fewer
         patterns (paper §VI-B)."""
-        view = request.getfixturevalue(dataset).with_attrs(8)
-        rows = sweep_tau(
-            view, problem, taus, RankedDataset.pandas_store, timeout_s=None
-        ) + sweep_krange(
-            view, problem, k_maxes, RankedDataset.pandas_store, timeout_s=None
+        ds = request.getfixturevalue(dataset)
+        d = replace(DEFAULTS, n_attrs=8)
+        rows = sweep(ds, problem, "tau", taus, d, None) + sweep(
+            ds, problem, "k_max", k_maxes, d, None
         )
         for r in rows:
             assert r["optimized"].res == r["baseline"].res
             assert examined_gain(r) > 0
 
-    def test_point_raises_when_results_differ(self, paper_ds, monkeypatch):
+    def test_point_raises_when_results_differ(
+        self, paper_ds_spark, monkeypatch
+    ):
         """A sweep point at which both runs finish compares their result
         sets: an optimized run that loses one pattern stops the sweep."""
         optimized = runner.OPTIMIZED[GlobalSpec]
@@ -134,13 +128,10 @@ class TestSweeps:
 
         monkeypatch.setitem(runner.OPTIMIZED, GlobalSpec, drop_one)
         with pytest.raises(RuntimeError, match="result sets differ"):
-            sweep_tau(
-                paper_ds, "global", [2], RankedDataset.pandas_store, SMALL,
-                None,
-            )
+            sweep(paper_ds_spark, "global", "tau", [2], SMALL, None)
 
     def test_tau_row_must_filter_smallest_tau_row(
-        self, paper_ds, monkeypatch
+        self, paper_ds_spark, monkeypatch
     ):
         """A τ_s sweep checks each finished row against the smallest-τ
         one: a row that gains a pattern, in both of its runs so that the
@@ -155,22 +146,15 @@ class TestSweeps:
 
         monkeypatch.setattr(sweeps, "run_algorithm", add_one)
         with pytest.raises(RuntimeError, match="filtered by size"):
-            sweep_tau(
-                paper_ds, "global", [2, 4], RankedDataset.pandas_store,
-                SMALL, None,
-            )
+            sweep(paper_ds_spark, "global", "tau", [2, 4], SMALL, None)
 
-    def test_examined_gain_positive_on_wide_range(self, paper_ds):
-        rows = sweep_krange(
-            paper_ds, "global", [16], RankedDataset.pandas_store, SMALL, None
-        )
+    def test_examined_gain_positive_on_wide_range(self, paper_ds_spark):
+        rows = sweep(paper_ds_spark, "global", "k_max", [16], SMALL, None)
         gain = examined_gain(rows[0])
         assert gain is not None and 0 < gain < 1
 
-    def test_result_size_census(self, paper_ds):
-        rows = sweep_tau(
-            paper_ds, "global", [2, 4], RankedDataset.pandas_store, SMALL, None
-        )
+    def test_result_size_census(self, paper_ds_spark):
+        rows = sweep(paper_ds_spark, "global", "tau", [2, 4], SMALL, None)
         census = result_size_census(rows)
         assert census["result_sets"] > 0
         assert 0.0 <= census["fraction"] <= 1.0
@@ -207,10 +191,8 @@ class TestPickGroup:
 
 
 class TestTables:
-    def test_format_rows_markdown(self, paper_ds):
-        rows = sweep_tau(
-            paper_ds, "global", [2], RankedDataset.pandas_store, SMALL, None
-        )
+    def test_format_rows_markdown(self, paper_ds_spark):
+        rows = sweep(paper_ds_spark, "global", "tau", [2], SMALL, None)
         md = format_rows(rows, "tau")
         assert md.startswith("| tau |")
         assert "| 2 |" in md

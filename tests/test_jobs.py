@@ -1,17 +1,20 @@
 """Smoke tests: every jobs/t*.py entrypoint runs end to end in --fast mode
-on the session SparkSession and returns structured results. T3–T6 and T8
+on the session SparkSession and returns structured results. T1–T6 and T8
 run once, in module fixtures; T7 and T11 are computed from the T3–T6 rows,
 T9 from T8's analyses."""
+import contextlib
+import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.datasets.base import RankedDataset
-from repro.experiments import DEFAULTS, sweep_krange, sweep_tau
+from repro.experiments import DEFAULTS, sweep
 from repro.experiments.sweeps import examined_gain
 
-JOBS_DIR = str(Path(__file__).resolve().parent.parent / "jobs")
+ROOT = Path(__file__).resolve().parent.parent
+JOBS_DIR = str(ROOT / "jobs")
 if JOBS_DIR not in sys.path:
     sys.path.insert(0, JOBS_DIR)
 
@@ -21,38 +24,60 @@ def fast_kwargs():
     return {"fast": True, "timeout": 30.0}
 
 
-def test_t1_attrs_global(spark, fast_kwargs):
-    from t1_attrs_global import main
+@pytest.fixture(scope="module")
+def figure_jobs(spark, fast_kwargs):
+    """The T1–T6 outputs and what they print, run once."""
+    import t1_attrs_global, t2_attrs_prop, t3_tau_global, t4_tau_prop
+    import t5_krange_global, t6_krange_prop
 
-    out = main(spark, **fast_kwargs)
-    assert set(out) == {"student", "compas", "german"}
-    for rows in out.values():
-        for row in rows:
-            if not (row["baseline"].timed_out or row["optimized"].timed_out):
-                assert row["baseline"].res == row["optimized"].res
-
-
-def test_t2_attrs_prop(spark, fast_kwargs):
-    from t2_attrs_prop import main
-
-    out = main(spark, **fast_kwargs)
-    for rows in out.values():
-        for row in rows:
-            if not (row["baseline"].timed_out or row["optimized"].timed_out):
-                assert row["baseline"].res == row["optimized"].res
+    jobs = {
+        "t1": t1_attrs_global, "t2": t2_attrs_prop, "t3": t3_tau_global,
+        "t4": t4_tau_prop, "t5": t5_krange_global, "t6": t6_krange_prop,
+    }
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        out = {t: job.main(spark, **fast_kwargs) for t, job in jobs.items()}
+    return out, printed.getvalue()
 
 
 @pytest.fixture(scope="module")
-def sweeps(spark, fast_kwargs):
-    """The T3–T6 outputs, run once: T7 and T11 are read off these rows."""
-    import t3_tau_global, t4_tau_prop, t5_krange_global, t6_krange_prop
+def sweeps(figure_jobs):
+    """The T3–T6 outputs: T7 and T11 are read off these rows."""
+    out, _ = figure_jobs
+    return {t: out[t] for t in ("t3", "t4", "t5", "t6")}
 
-    return {
-        "t3": t3_tau_global.main(spark, **fast_kwargs),
-        "t4": t4_tau_prop.main(spark, **fast_kwargs),
-        "t5": t5_krange_global.main(spark, **fast_kwargs),
-        "t6": t6_krange_prop.main(spark, **fast_kwargs),
-    }
+
+def _assert_finished_points_agree(out):
+    for rows in out.values():
+        for row in rows:
+            if not (row["baseline"].timed_out or row["optimized"].timed_out):
+                assert row["baseline"].res == row["optimized"].res
+
+
+def test_t1_attrs_global(figure_jobs):
+    out = figure_jobs[0]["t1"]
+    assert set(out) == {"student", "compas", "german"}
+    _assert_finished_points_agree(out)
+
+
+def test_t2_attrs_prop(figure_jobs):
+    _assert_finished_points_agree(figure_jobs[0]["t2"])
+
+
+def test_figure_headings_match_recorded_run(figure_jobs):
+    """The fast T1–T6 jobs print the 18 T1–T6 headings of the recorded
+    full run, in order, each over a table keyed by its sweep axis."""
+    lines = figure_jobs[1].splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith("## ")]
+    recorded = [
+        line for line in (ROOT / "experiments_raw.txt").read_text()
+        .splitlines() if line.startswith("## ")
+    ]
+    assert [lines[i] for i in at] == recorded[:18]
+    axes = ["n_attrs"] * 6 + ["tau"] * 6 + ["k_max"] * 6
+    assert [lines[i + 2].split(" | ")[0] for i in at] == [
+        f"| {axis}" for axis in axes
+    ]
 
 
 def test_t3_tau_global(sweeps):
@@ -84,20 +109,18 @@ def test_t7_gains(sweeps):
 
 def test_t7_gains_equal_direct_krange_runs(german_ds):
     """T7 read off T3–T6-shaped rows gives the gains of direct k-range runs
-    at k_max = 49 and at the widest k (pandas store)."""
+    at k_max = 49 and at the widest k (6 attributes)."""
     from t7_patterns_examined import main
 
-    view = german_ds.with_attrs(6)
+    d = replace(DEFAULTS, n_attrs=6)
     wide = 150
     tau_rows, krange_rows = {}, {}
     for problem in ("global", "prop"):
-        tau_rows[problem] = {"german": sweep_tau(
-            view, problem, [20, DEFAULTS.tau],
-            RankedDataset.pandas_store, timeout_s=None
+        tau_rows[problem] = {"german": sweep(
+            german_ds, problem, "tau", [20, DEFAULTS.tau], d, None
         )}
-        krange_rows[problem] = {"german": sweep_krange(
-            view, problem, [20, wide],
-            RankedDataset.pandas_store, timeout_s=None
+        krange_rows[problem] = {"german": sweep(
+            german_ds, problem, "k_max", [20, wide], d, None
         )}
     gains = main(
         tau_rows["global"], tau_rows["prop"],
@@ -105,10 +128,7 @@ def test_t7_gains_equal_direct_krange_runs(german_ds):
     )
     for problem in ("global", "prop"):
         for k_max in (DEFAULTS.k_max, wide):
-            direct = sweep_krange(
-                view, problem, [k_max],
-                RankedDataset.pandas_store, timeout_s=None
-            )[0]
+            direct = sweep(german_ds, problem, "k_max", [k_max], d, None)[0]
             assert gains[("german", problem, k_max)] == examined_gain(direct)
 
 
