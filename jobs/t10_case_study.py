@@ -30,8 +30,8 @@ def main(spark=None, fast: bool = False) -> dict:
     store = view.spark_store()
     attrs = view.pattern_attrs
 
-    gb = global_bounds(store, GlobalSpec({K: 10}), tau, K, K).res[K]
-    pb = prop_bounds(store, PropSpec(0.8), tau, K, K).res[K]
+    gb = global_bounds(store, GlobalSpec({K: 10}), tau, K, K).res_at(K)
+    pb = prop_bounds(store, PropSpec(0.8), tau, K, K).res_at(K)
     div = divergence_subgroups(store, k=K, min_support=tau / ds.n)
 
     div_patterns = list(div["pattern"])

@@ -48,11 +48,14 @@ def main(t3: dict, t4: dict, t5: dict, t6: dict) -> dict:
             for k_max, row in ((DEFAULTS.k_max, default), (wide["k_max"], wide)):
                 gain = examined_gain(row)
                 out[(name, problem, k_max)] = gain
-                base, opt = row["baseline"], row["optimized"]
+                base, opt = (
+                    "TO" if run.timed_out else run.result.stats.examined
+                    for run in (row["baseline"], row["optimized"])
+                )
                 gain_s = f"{100 * gain:.2f}%" if gain is not None else "TO"
                 lines.append(
                     f"| {name} | {problem} | [10,{k_max}] | "
-                    f"{base.examined} | {opt.examined} | {gain_s} | "
+                    f"{base} | {opt} | {gain_s} | "
                     f"{paper[(name, problem)]} |"
                 )
     emit("T7 patterns-examined gains", "\n".join(lines))

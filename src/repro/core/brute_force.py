@@ -2,7 +2,8 @@
 
 Enumerates *every* pattern with ``s_D(p) ≥ τ_s``, finds the violating ones
 per k, and keeps those with no violating proper subpattern — a direct
-transcription of the most-general-pattern definition in Section III. The
+transcription of the most-general-pattern definition in Section III; each
+k's most general violators set bit k of their result masks. The
 enumeration walks the search tree pruned by τ_s alone, with none of the
 algorithms' bound pruning or bookkeeping. Used as the correctness oracle
 for ITERTD / GLOBALBOUNDS / PROPBOUNDS in tests. Its cost grows with the
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.bounds import GlobalSpec, PropSpec, check_params
 from repro.core.pattern import EMPTY, Pattern, children, has_ancestor_in
-from repro.core.result import SearchResult, SearchStats
+from repro.core.result import SearchResult, add_step
 from repro.core.store import PatternStat, StatsStore
 
 
@@ -49,7 +50,7 @@ def brute_force(
     check_params(store.n, tau, k_min, k_max)
     substantial = substantial_patterns(store, tau)
     n = store.n
-    res: dict[int, frozenset[Pattern]] = {}
+    masks: dict[Pattern, int] = {}
     for k in range(k_min, k_max + 1):
         a, b, t = spec.linear(k, n)
         mask = (1 << k) - 1
@@ -58,7 +59,6 @@ def brute_force(
             for p, st in substantial.items()
             if a * (st.bits & mask).bit_count() < b * st.size + t
         }
-        res[k] = frozenset(
-            p for p in violating if not has_ancestor_in(p, violating)
-        )
-    return SearchResult(res=res, stats=SearchStats())
+        res = (p for p in violating if not has_ancestor_in(p, violating))
+        add_step(masks, res, k)
+    return SearchResult(masks, k_min, k_max)

@@ -18,13 +18,14 @@ to passing (Proposition 4.3 bounds these by half the tree); each crosser
 leaves ``violating`` and is expanded, and ``Res`` is re-derived once the
 step's crossers are done. The crossers are tested against the bound's
 ``linear`` form, resolved once per step. When the bound increases, a fresh
-full top-down search runs (Algorithm 2, lines 4–5).
+full top-down search runs (Algorithm 2, lines 4–5). Each step's ``Res``,
+changed or not, sets bit k of its patterns' result masks.
 """
 from __future__ import annotations
 
 from repro.core.bounds import GlobalSpec, check_params
 from repro.core.pattern import satisfies
-from repro.core.result import SearchResult, SearchStats, freeze
+from repro.core.result import SearchResult, SearchStats, add_step
 from repro.core.store import StatsStore
 from repro.core.topdown import (
     normalize_frontier,
@@ -45,11 +46,10 @@ def global_bounds(
     lower bounds) for every k in ``[k_min, k_max]``."""
     check_params(store.n, tau, k_min, k_max)
     stats = SearchStats(deadline=deadline)
-    out: dict[int, frozenset] = {}
-    interned: dict = {}
+    masks: dict = {}
     violating = top_down_search(store, spec, tau, k_min, stats)
     res = normalize_frontier(violating)
-    out[k_min] = freeze(res, None, interned)
+    add_step(masks, res, k_min)
 
     for k in range(k_min + 1, k_max + 1):
         stats.check_deadline()
@@ -76,5 +76,5 @@ def global_bounds(
                 # Steps without crossers leave the violating set, and so
                 # Res, as they were.
                 res = normalize_frontier(violating)
-        out[k] = freeze(res, out[k - 1], interned)
-    return SearchResult(res=out, stats=stats)
+        add_step(masks, res, k)
+    return SearchResult(masks, k_min, k_max, stats)

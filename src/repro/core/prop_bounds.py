@@ -16,7 +16,8 @@ stays fixed — in the map ``K``. Each step k:
 2. ``K`` entries with ``k̃ ≤ k`` not satisfied by the new tuple (their count
    is unchanged, so the bound has caught up with them) become violating.
 3. ``promote`` re-derives ``Res`` from the violating set with
-   :func:`~repro.core.topdown.normalize_frontier`.
+   :func:`~repro.core.topdown.normalize_frontier`, and ``Res`` sets bit k
+   of its patterns' result masks.
 
 Bookkeeping keeps each fact once. A generated pattern is violating iff it
 is in ``violating`` and passing iff it is in ``K``; it has been expanded
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from repro.core.bounds import PropSpec, check_params
 from repro.core.pattern import EMPTY, Pattern, has_ancestor_in
-from repro.core.result import SearchResult, SearchStats, freeze
+from repro.core.result import SearchResult, SearchStats, add_step
 from repro.core.store import StatsStore
 from repro.core.topdown import normalize_frontier
 
@@ -200,8 +201,8 @@ def prop_bounds(
     # Full top-down search for k_min.
     s.expand(EMPTY, k_min, visited, store.all_bits)
     s.promote()
-    interned: dict = {}
-    out = {k_min: freeze(s.res, None, interned)}
+    masks: dict = {}
+    add_step(masks, s.res, k_min)
     if _debug_invariants:
         s.check_invariants(k_min)
 
@@ -212,7 +213,7 @@ def prop_bounds(
         s.selective_td(new_tuple, k, visited)
         s.fire_k_tilde(k, visited)
         s.promote()
-        out[k] = freeze(s.res, out[k - 1], interned)
+        add_step(masks, s.res, k)
         if _debug_invariants:
             s.check_invariants(k)
-    return SearchResult(res=out, stats=stats)
+    return SearchResult(masks, k_min, k_max, stats)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.core.pattern import Pattern
@@ -41,27 +42,34 @@ class SearchStats:
             self.check_deadline()
 
 
-def freeze(
-    res: set[Pattern],
-    prev: frozenset[Pattern] | None,
-    interned: dict[Pattern, Pattern],
-) -> frozenset:
-    """``res`` as the result set of a step: ``prev``, the previous step's
-    set, when they are equal, so runs of unchanged steps share one set.
-    Otherwise each pattern is replaced by its first copy in ``interned``
-    (one dict per run), so a run's result sets hold one object per
-    distinct pattern however often the search rebuilt it."""
-    if prev == res:
-        return prev
-    # Via a set: a frozenset copied from a set is sized to fit, one grown
-    # from a generator keeps up to twice the slots.
-    return frozenset({interned.setdefault(p, p) for p in res})
+def add_step(
+    masks: dict[Pattern, int], res: Iterable[Pattern], k: int
+) -> None:
+    """Record ``res`` as ``Res_k``: set bit ``k`` of each of its patterns'
+    masks. Every producer calls it once per k of its range."""
+    bit = 1 << k
+    for p in res:
+        masks[p] = masks.get(p, 0) | bit
 
 
 @dataclass
 class SearchResult:
-    """Output of a detection algorithm: the most general biased patterns per
-    k (``res[k]``), plus effort statistics."""
+    """Output of a detection algorithm: the most general biased patterns for
+    every k in ``[k_min, k_max]``, plus effort statistics.
 
-    res: dict[int, frozenset[Pattern]]
-    stats: SearchStats = field(default_factory=SearchStats)
+    ``res`` maps each pattern found at some k to a bitmask of those k: bit
+    k of ``res[p]`` is set iff p ∈ Res_k. No mask is 0 and none has a bit
+    outside ``[k_min, k_max]``, so two results are equal iff their range
+    and their per-k sets are; ``stats`` is not compared.
+    """
+
+    res: dict[Pattern, int]
+    k_min: int
+    k_max: int
+    stats: SearchStats = field(default_factory=SearchStats, compare=False)
+
+    def res_at(self, k: int) -> frozenset[Pattern]:
+        """``Res_k``; a ``KeyError`` for k outside the range."""
+        if not self.k_min <= k <= self.k_max:
+            raise KeyError(k)
+        return frozenset(p for p, mask in self.res.items() if mask >> k & 1)

@@ -210,9 +210,6 @@ class StatsStore:
     def size(self, p: Pattern) -> int:
         return self.stat(p).size
 
-    def topk_count(self, p: Pattern, k: int) -> int:
-        return self.stat(p).topk(k)
-
     def row_at_rank(self, k: int) -> tuple[str, ...]:
         """Pattern-attribute values of ``R(D)[k]``, the k-th ranked tuple
         (needed by the incremental algorithms)."""

@@ -9,7 +9,7 @@ from typing import Callable
 from repro.core import global_bounds, prop_bounds
 from repro.core.bounds import GlobalSpec, PropSpec
 from repro.core.itertd import iter_td
-from repro.core.result import SearchStats, SearchTimeout
+from repro.core.result import SearchResult, SearchStats, SearchTimeout
 from repro.core.store import StatsStore
 
 #: The optimized algorithm of each problem, keyed by the type of its bound
@@ -22,8 +22,8 @@ OPTIMIZED = {
 
 @dataclass
 class RunOutcome:
-    """Measured outcome of one run. A timed-out run carries its times and
-    no search outcome: ``examined`` is −1 and ``res`` is None.
+    """Measured outcome of one run: its times and the algorithm's result,
+    None for a run that timed out.
 
     ``time_s`` is end to end, store construction included; ``agg_s`` is
     the store's build time (the counting substrate: the collected rows and
@@ -34,12 +34,11 @@ class RunOutcome:
 
     time_s: float
     agg_s: float
-    examined: int = -1
-    res: dict[int, frozenset] | None = None
+    result: SearchResult | None = None
 
     @property
     def timed_out(self) -> bool:
-        return self.res is None
+        return self.result is None
 
     @property
     def search_s(self) -> float:
@@ -72,7 +71,4 @@ def run_algorithm(
         result = fn(store, spec, tau, k_min, k_max, deadline=deadline)
     except SearchTimeout:
         result = None
-    out = RunOutcome(time.monotonic() - start, agg_s)
-    if result is not None:
-        out.examined, out.res = result.stats.examined, result.res
-    return out
+    return RunOutcome(time.monotonic() - start, agg_s, result)

@@ -91,7 +91,7 @@ def shapley_analysis(
     view = ds.with_attrs(DEFAULTS.n_attrs)
     store = view.spark_store()
     spec = paper_default_global()
-    res = global_bounds(store, spec, tau, DEFAULTS.k_min, k).res[k]
+    res = global_bounds(store, spec, tau, DEFAULTS.k_min, k).res_at(k)
     if not res:
         raise RuntimeError(f"no detected groups on {ds.name} at k={k}")
     group = pick_group(store, res, ds.name)

@@ -65,7 +65,7 @@ def _point(
         )
         for algo in _ALGOS
     }
-    base, opt = point["baseline"].res, point["optimized"].res
+    base, opt = point["baseline"].result, point["optimized"].result
     if base is not None and opt is not None and base != opt:
         raise RuntimeError(
             f"{ds.name}: baseline and optimized result sets differ "
@@ -106,7 +106,7 @@ def _check_tau_filter(ds: RankedDataset, rows: list[dict]) -> None:
     s_D(p) ≥ τ2}`` for ``τ1 ≤ τ2`` (a substantial pattern's ancestors are
     at least as large, so raising τ_s removes results and adds none)."""
     finished = [
-        (row["tau"], out.res)
+        (row["tau"], out.result.res)
         for row in rows
         for out in (row["baseline"], row["optimized"])
         if not out.timed_out
@@ -115,13 +115,9 @@ def _check_tau_filter(ds: RankedDataset, rows: list[dict]) -> None:
         return
     tau1, low = min(finished, key=lambda f: f[0])
     store = ds.spark_store()
-    size = {p: store.size(p) for groups in low.values() for p in groups}
+    size = {p: store.size(p) for p in low}
     for tau2, res in finished:
-        expected = {
-            k: frozenset(p for p in groups if size[p] >= tau2)
-            for k, groups in low.items()
-        }
-        if res != expected:
+        if {p: m for p, m in low.items() if size[p] >= tau2} != res:
             raise RuntimeError(
                 f"{ds.name}: the result sets at tau={tau2} are not those at "
                 f"tau={tau1} filtered by size"
@@ -133,23 +129,24 @@ def examined_gain(point: dict[str, RunOutcome]) -> float | None:
     point: ``1 − examined_opt / examined_baseline`` (the paper's §VI-B
     percentage). None if either run timed out."""
     base, opt = point["baseline"], point["optimized"]
-    if base.timed_out or opt.timed_out or base.examined <= 0:
+    if base.timed_out or opt.timed_out or base.result.stats.examined <= 0:
         return None
-    return 1.0 - opt.examined / base.examined
+    return 1.0 - opt.result.stats.examined / base.result.stats.examined
 
 
 def result_size_census(rows: list[dict]) -> dict:
     """Fraction of (run, k) result sets with fewer than 100 groups — the
-    paper's in-text 97.58% statistic (Section III)."""
+    paper's in-text 97.58% statistic (Section III). Every k of a finished
+    run's range counts, an empty ``Res_k`` included."""
     total = below = 0
     for row in rows:
         for algo in _ALGOS:
-            out = row[algo]
-            if out.timed_out:
+            result = row[algo].result
+            if result is None:
                 continue
-            for groups in out.res.values():
+            for k in range(result.k_min, result.k_max + 1):
                 total += 1
-                below += len(groups) < 100
+                below += len(result.res_at(k)) < 100
     return {
         "result_sets": total,
         "below_threshold": below,

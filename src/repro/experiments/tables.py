@@ -9,7 +9,8 @@ from repro.experiments.sweeps import examined_gain
 def _fmt(out: RunOutcome) -> tuple[str, str, str]:
     if out.timed_out:
         return "TO", "TO", "TO"
-    return f"{out.time_s:.2f}", f"{out.search_s:.3f}", str(out.examined)
+    examined = out.result.stats.examined
+    return f"{out.time_s:.2f}", f"{out.search_s:.3f}", str(examined)
 
 
 #: Search times below this are not divided: two identical runs whose

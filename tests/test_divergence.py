@@ -107,7 +107,7 @@ def test_detected_groups_are_frequent_subgroups(student_ds):
 
     view = student_ds.with_attrs(4)
     store = view.pandas_store()
-    res = prop_bounds(store, PropSpec(0.8), 50, 10, 10).res[10]
+    res = prop_bounds(store, PropSpec(0.8), 50, 10, 10).res_at(10)
     assert len(res) >= 1
     div = divergence_subgroups(store, k=10, min_support=50 / student_ds.n)
     assert len(div) >= 5

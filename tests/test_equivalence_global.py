@@ -64,8 +64,8 @@ def test_global_examined_fewer_than_baseline(paper_ds):
 def test_results_only_contain_substantial_patterns(paper_ds):
     store = paper_ds.pandas_store()
     spec = GlobalSpec({4: 3})
-    res = global_bounds(store, spec, 6, 4, 10).res
-    for k, patterns in res.items():
-        for p in patterns:
+    result = global_bounds(store, spec, 6, 4, 10)
+    for k in range(4, 11):
+        for p in result.res_at(k):
             assert store.size(p) >= 6
-            assert store.topk_count(p, k) < 3
+            assert store.stat(p).topk(k) < 3

@@ -48,19 +48,21 @@ def test_prop_results_satisfy_definition(paper_ds):
     """Problem 3.2 spelled out on the reported patterns."""
     store = paper_ds.pandas_store()
     alpha = 0.9
-    res = prop_bounds(store, PropSpec(alpha), 4, 4, 10).res
-    for k, patterns in res.items():
-        for p in patterns:
+    result = prop_bounds(store, PropSpec(alpha), 4, 4, 10)
+    for k in range(4, 11):
+        for p in result.res_at(k):
             size = store.size(p)
             assert size >= 4
-            assert store.topk_count(p, k) < alpha * size * k / store.n
+            assert store.stat(p).topk(k) < alpha * size * k / store.n
 
 
 def test_prop_tiny_alpha_only_zero_count_patterns(paper_ds):
     """With a tiny α the bound is a tiny positive number, so exactly the
     substantial patterns with *zero* top-k presence violate."""
     store = paper_ds.pandas_store()
-    res = prop_bounds(store, PropSpec(1e-9), 1, 2, 10, _debug_invariants=True).res
-    for k, patterns in res.items():
-        for p in patterns:
-            assert store.topk_count(p, k) == 0
+    result = prop_bounds(
+        store, PropSpec(1e-9), 1, 2, 10, _debug_invariants=True
+    )
+    for k in range(2, 11):
+        for p in result.res_at(k):
+            assert store.stat(p).topk(k) == 0

@@ -9,8 +9,10 @@ rows, nulls, the full k range 1..n, τ_s of 1 or n:
 * attribute order: on the reversed attribute order each algorithm returns
   the same groups, with the attribute indices reversed;
 * k-window: a run over ``[k_a, k_b] ⊆ [1, n]`` returns the full run's
-  result at every k it shares;
-* each algorithm's result dict holds one object per distinct pattern;
+  masks cut to the window's bits, less the patterns left with none;
+* each algorithm's result is canonical: no mask is 0 or has a bit outside
+  the k range, ``res_at(k)`` is the patterns with bit k set, and a k
+  outside the range is a ``KeyError``;
 * the store derives every search-tree child's bitmap from its parent's as
   ``stat()`` computes it from scratch;
 * Algorithm 1, from the root and from any node, finds the violating set of
@@ -19,6 +21,7 @@ rows, nulls, the full k range 1..n, τ_s of 1 or n:
 from collections import deque
 
 import pandas as pd
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,8 +106,7 @@ def test_tau_filter(table, data):
         low = algo(store, spec, tau1, 1, n).res
         high = algo(store, spec, tau2, 1, n).res
         assert high == {
-            k: frozenset(p for p in res if store.size(p) >= tau2)
-            for k, res in low.items()
+            p: mask for p, mask in low.items() if store.size(p) >= tau2
         }, (algo.__name__, tau1, tau2)
 
 
@@ -122,9 +124,9 @@ def test_attribute_order_permutation(frame):
 
     for algo, spec in _runs(global_spec, alpha):
         got = algo(reversed_store, spec, tau, 1, n).res
-        assert {
-            k: frozenset(map(remap, res)) for k, res in got.items()
-        } == algo(store, spec, tau, 1, n).res, algo.__name__
+        assert {remap(p): mask for p, mask in got.items()} == algo(
+            store, spec, tau, 1, n
+        ).res, algo.__name__
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,24 +136,31 @@ def test_k_window(table, data):
     n = store.n
     k_a = data.draw(st.integers(1, n))
     k_b = data.draw(st.integers(k_a, n))
+    window = (1 << (k_b + 1)) - (1 << k_a)
     for algo, spec in _runs(global_spec, alpha):
         full = algo(store, spec, tau, 1, n).res
         assert algo(store, spec, tau, k_a, k_b).res == {
-            k: full[k] for k in range(k_a, k_b + 1)
+            p: mask & window for p, mask in full.items() if mask & window
         }, (algo.__name__, k_a, k_b)
 
 
 @settings(max_examples=100, deadline=None)
 @given(ranked_tables())
-def test_one_object_per_distinct_pattern(table):
+def test_result_masks_are_canonical(table):
     store, global_spec, alpha, tau = table
     n = store.n
+    window = (1 << (n + 1)) - (1 << 1)
     for algo, spec in _runs(global_spec, alpha):
-        res = algo(store, spec, tau, 1, n).res
-        patterns = [p for groups in res.values() for p in groups]
-        assert len({id(p) for p in patterns}) == len(set(patterns)), (
-            algo.__name__
-        )
+        result = algo(store, spec, tau, 1, n)
+        for mask in result.res.values():
+            assert mask and not mask & ~window, (algo.__name__, mask)
+        for k in range(1, n + 1):
+            assert result.res_at(k) == {
+                p for p, mask in result.res.items() if mask >> k & 1
+            }, (algo.__name__, k)
+        for k in (0, n + 1):
+            with pytest.raises(KeyError):
+                result.res_at(k)
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.bounds import GlobalSpec
+from repro.core.result import SearchResult, SearchStats, add_step
 from repro.experiments import (
     DEFAULTS,
     format_rows,
@@ -21,6 +22,11 @@ from repro.experiments.sweeps import Defaults, examined_gain
 SMALL = Defaults(n_attrs=4, tau=3, k_min=3, k_max=10, alpha=0.8)
 
 
+def _result(examined: int) -> SearchResult:
+    """An empty result of a run that examined ``examined`` patterns."""
+    return SearchResult({}, 1, 1, SearchStats(examined=examined))
+
+
 class TestRunner:
     def test_baseline_and_optimized_agree(self, paper_ds):
         spec = GlobalSpec({3: 2})
@@ -28,10 +34,11 @@ class TestRunner:
             a: run_algorithm(paper_ds.pandas_store, a, spec, 3, 3, 10)
             for a in ("baseline", "optimized")
         }
-        assert runs["baseline"].res == runs["optimized"].res
+        base, opt = runs["baseline"].result, runs["optimized"].result
+        assert base == opt
         assert not runs["baseline"].timed_out
-        assert runs["optimized"].examined < runs["baseline"].examined
-        assert runs["baseline"].res.keys() == set(range(3, 11))
+        assert opt.stats.examined < base.stats.examined
+        assert (base.k_min, base.k_max) == (3, 10)
 
     def test_timeout_marks_outcome(self, paper_ds):
         from repro.datasets.hardness import hardness_construction
@@ -41,7 +48,7 @@ class TestRunner:
             GlobalSpec({14: 8}), 1, 14, 14, timeout_s=0.0,
         )
         assert out.timed_out
-        assert out.res is None
+        assert out.result is None
 
     def test_deadline_covers_store_construction(self, paper_ds):
         """A store that takes longer to build than the whole budget times
@@ -57,7 +64,7 @@ class TestRunner:
             timeout_s=sleep_s / 2,
         )
         assert out.timed_out
-        assert out.res is None
+        assert out.result is None
         assert out.time_s >= sleep_s
 
 
@@ -69,16 +76,17 @@ class TestSweeps:
         )
         assert [r["n_attrs"] for r in rows] == [2, 3, 4]
         for r in rows:
-            assert r["baseline"].res == r["optimized"].res
+            assert r["baseline"].result == r["optimized"].result
 
     @pytest.mark.parametrize("problem", ["global", "prop"])
     def test_sweep_tau(self, paper_ds_spark, problem):
         rows = sweep(paper_ds_spark, problem, "tau", [2, 4, 8], SMALL, None)
         for r in rows:
-            assert r["baseline"].res == r["optimized"].res
+            assert r["baseline"].result == r["optimized"].result
         # Larger τ_s shrinks the search space (paper Fig. 6–7 trend).
         assert (
-            rows[0]["baseline"].examined >= rows[-1]["baseline"].examined
+            rows[0]["baseline"].result.stats.examined
+            >= rows[-1]["baseline"].result.stats.examined
         )
 
     @pytest.mark.parametrize("problem", ["global", "prop"])
@@ -87,8 +95,11 @@ class TestSweeps:
             paper_ds_spark, problem, "k_max", [8, 12, 16], SMALL, None
         )
         for r in rows:
-            assert r["baseline"].res == r["optimized"].res
-        assert rows[-1]["baseline"].examined > rows[0]["baseline"].examined
+            assert r["baseline"].result == r["optimized"].result
+        assert (
+            rows[-1]["baseline"].result.stats.examined
+            > rows[0]["baseline"].result.stats.examined
+        )
 
     @pytest.mark.parametrize("problem", ["global", "prop"])
     @pytest.mark.parametrize(
@@ -110,7 +121,7 @@ class TestSweeps:
             ds, problem, "k_max", k_maxes, d, None
         )
         for r in rows:
-            assert r["optimized"].res == r["baseline"].res
+            assert r["optimized"].result == r["baseline"].result
             assert examined_gain(r) > 0
 
     def test_point_raises_when_results_differ(
@@ -122,8 +133,7 @@ class TestSweeps:
 
         def drop_one(*args, **kwargs):
             result = optimized(*args, **kwargs)
-            k = max(k for k, groups in result.res.items() if groups)
-            result.res[k] = frozenset(sorted(result.res[k])[1:])
+            del result.res[min(result.res)]
             return result
 
         monkeypatch.setitem(runner.OPTIMIZED, GlobalSpec, drop_one)
@@ -141,7 +151,7 @@ class TestSweeps:
         def add_one(factory, algo, spec, tau, *args):
             out = run(factory, algo, spec, tau, *args)
             if tau == 4:
-                out.res[10] = out.res[10] | {((0, "F"),)}
+                add_step(out.result.res, [((0, "F"),)], 10)
             return out
 
         monkeypatch.setattr(sweeps, "run_algorithm", add_one)
@@ -154,12 +164,16 @@ class TestSweeps:
         assert gain is not None and 0 < gain < 1
 
     def test_result_size_census(self, paper_ds_spark):
-        rows = sweep(paper_ds_spark, "global", "tau", [2, 4], SMALL, None)
-        census = result_size_census(rows)
-        assert census["result_sets"] > 0
-        assert 0.0 <= census["fraction"] <= 1.0
-        # Paper-example results are tiny, all below 100 groups.
-        assert census["fraction"] == 1.0
+        """Every k of a finished run is one result set, an empty one too:
+        at τ_s = 8 the last two k find no group."""
+        rows = sweep(paper_ds_spark, "global", "tau", [2, 8], SMALL, None)
+        tau8 = rows[1]["baseline"].result
+        assert not tau8.res_at(9) and not tau8.res_at(10)
+        # 2 runs × 2 τ_s × |[3, 10]|; paper-example results are tiny, all
+        # below 100 groups.
+        assert result_size_census(rows) == {
+            "result_sets": 32, "below_threshold": 32, "fraction": 1.0,
+        }
 
 
 class TestPickGroup:
@@ -208,8 +222,8 @@ class TestTables:
         at least ``SPEEDUP_RESOLUTION_S``; the examined gain always is."""
         row = {
             "tau": 2,
-            "baseline": RunOutcome(base_s + 1.0, 1.0, 100, {}),
-            "optimized": RunOutcome(opt_s + 1.0, 1.0, 50, {}),
+            "baseline": RunOutcome(base_s + 1.0, 1.0, _result(100)),
+            "optimized": RunOutcome(opt_s + 1.0, 1.0, _result(50)),
         }
         cells = format_rows([row], "tau").splitlines()[2].split(" | ")
         assert cells[5] == speedup

@@ -25,11 +25,11 @@ def test_global_bounds_worst_case(n):
     ds = hardness_construction(n)
     store = ds.pandas_store()
     spec = GlobalSpec({n: n // 2 + 1})
-    res = iter_td(store, spec, 1, n, n).res[n]
+    res = iter_td(store, spec, 1, n, n).res_at(n)
     assert _expected_patterns(n) <= set(res)
     assert len(res) >= comb(n, n // 2)
-    assert global_bounds(store, spec, 1, n, n).res[n] == res
-    assert brute_force(store, spec, 1, n, n).res[n] == res
+    assert global_bounds(store, spec, 1, n, n).res_at(n) == res
+    assert brute_force(store, spec, 1, n, n).res_at(n) == res
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -37,10 +37,10 @@ def test_prop_bounds_worst_case(n):
     ds = hardness_construction(n)
     store = ds.pandas_store()
     spec = PropSpec((n + 3) / (n + 4))
-    res = prop_bounds(store, spec, 1, n, n, _debug_invariants=True).res[n]
+    res = prop_bounds(store, spec, 1, n, n, _debug_invariants=True).res_at(n)
     assert _expected_patterns(n) <= set(res)
     assert len(res) >= comb(n, n // 2)
-    assert brute_force(store, spec, 1, n, n).res[n] == res
+    assert brute_force(store, spec, 1, n, n).res_at(n) == res
 
 
 def test_construction_shape():

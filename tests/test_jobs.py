@@ -51,7 +51,7 @@ def _assert_finished_points_agree(out):
     for rows in out.values():
         for row in rows:
             if not (row["baseline"].timed_out or row["optimized"].timed_out):
-                assert row["baseline"].res == row["optimized"].res
+                assert row["baseline"].result == row["optimized"].result
 
 
 def test_t1_attrs_global(figure_jobs):

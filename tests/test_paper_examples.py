@@ -39,15 +39,15 @@ class TestExample46GlobalBounds:
     @pytest.fixture(scope="class")
     def results(self, store):
         return {
-            "iter": iter_td(store, self.SPEC, 4, 4, 5).res,
-            "global": global_bounds(store, self.SPEC, 4, 4, 5).res,
-            "brute": brute_force(store, self.SPEC, 4, 4, 5).res,
+            "iter": iter_td(store, self.SPEC, 4, 4, 5),
+            "global": global_bounds(store, self.SPEC, 4, 4, 5),
+            "brute": brute_force(store, self.SPEC, 4, 4, 5),
         }
 
     def test_res4_contains_papers_patterns(self, results):
         for res in results.values():
-            assert ((A, "U"),) in res[4]
-            assert ((F, "1"),) in res[4]
+            assert ((A, "U"),) in res.res_at(4)
+            assert ((F, "1"),) in res.res_at(4)
 
     def test_dres_after_k4(self, store):
         """The four DRes patterns listed in Example 4.6 are generated as
@@ -67,16 +67,16 @@ class TestExample46GlobalBounds:
         """At k=5 {Address=U} and {Failures=1} cross the bound; their
         child {Address=U, Failures=1} and the four DRes patterns enter."""
         for res in results.values():
-            assert ((A, "U"),) not in res[5]
-            assert ((F, "1"),) not in res[5]
-            assert ((A, "U"), (F, "1")) in res[5]
+            assert ((A, "U"),) not in res.res_at(5)
+            assert ((F, "1"),) not in res.res_at(5)
+            assert ((A, "U"), (F, "1")) in res.res_at(5)
             for p in [
                 ((G, "F"), (A, "U")),
                 ((G, "M"), (A, "U")),
                 ((G, "F"), (F, "1")),
                 ((A, "R"), (F, "1")),
             ]:
-                assert p in res[5]
+                assert p in res.res_at(5)
 
     def test_all_algorithms_agree(self, results):
         assert results["iter"] == results["brute"]
@@ -91,17 +91,17 @@ class TestExample49PropBounds:
     @pytest.fixture(scope="class")
     def results(self, store):
         return {
-            "iter": iter_td(store, self.SPEC, 5, 4, 5).res,
+            "iter": iter_td(store, self.SPEC, 5, 4, 5),
             "prop": prop_bounds(
                 store, self.SPEC, 5, 4, 5, _debug_invariants=True
-            ).res,
-            "brute": brute_force(store, self.SPEC, 5, 4, 5).res,
+            ),
+            "brute": brute_force(store, self.SPEC, 5, 4, 5),
         }
 
     def test_res4_exact(self, results):
         expected = {((S, "GP"),), ((A, "U"),), ((F, "1"),)}
         for res in results.values():
-            assert res[4] == expected
+            assert res.res_at(4) == expected
 
     def test_res5_adds_gender_f(self, results):
         """{Gender=F} hits its k̃=5 while its count stays 2 → reported;
@@ -114,12 +114,12 @@ class TestExample49PropBounds:
             ((G, "F"),),
         }
         for res in results.values():
-            assert res[5] == expected
+            assert res.res_at(5) == expected
 
     def test_k_tilde_values_of_example(self, store):
         """k̃ of the patterns discussed in Example 4.9 (α=0.9, n=16)."""
-        c_m = store.topk_count(((G, "M"),), 4)
-        c_f = store.topk_count(((G, "F"),), 4)
+        c_m = store.stat(((G, "M"),)).topk(4)
+        c_f = store.stat(((G, "F"),)).topk(4)
         assert (c_m, c_f) == (2, 2)
         spec = PropSpec(0.9)
         assert spec.k_tilde(2, 8, 16) == 5  # {Gender=M}, {Gender=F}
@@ -134,10 +134,10 @@ class TestExample49PropBounds:
 def test_empty_range_single_k(store):
     """k_min == k_max degenerates to a single Algorithm-1 search."""
     spec = GlobalSpec({5: 2})
-    r1 = iter_td(store, spec, 4, 5, 5).res
-    r2 = global_bounds(store, spec, 4, 5, 5).res
+    r1 = iter_td(store, spec, 4, 5, 5).res_at(5)
+    r2 = global_bounds(store, spec, 4, 5, 5).res_at(5)
     violating = top_down_search(store, spec, 4, 5, SearchStats())
-    assert r1[5] == r2[5] == frozenset(normalize_frontier(violating))
+    assert r1 == r2 == frozenset(normalize_frontier(violating))
 
 
 @pytest.mark.parametrize(
@@ -151,11 +151,17 @@ def test_empty_range_single_k(store):
     ids=["iter_td-global", "iter_td-prop", "global_bounds", "prop_bounds"],
 )
 def test_unchanged_result_sets_are_shared(store, algorithm, spec):
-    """A step whose Res equals the previous step's reuses that set object;
-    every result set still equals the reference's."""
-    res = algorithm(store, spec, 2, 2, 16).res
-    assert res == brute_force(store, spec, 2, 2, 16).res
-    same = [k for k in range(3, 17) if res[k] == res[k - 1]]
+    """A pattern is stored once however many steps report it: its mask has
+    one bit per step, so a step whose Res equals the previous step's adds
+    no entry. Every result set still equals the reference's."""
+    result = algorithm(store, spec, 2, 2, 16)
+    assert result == brute_force(store, spec, 2, 2, 16)
+    same = [
+        k for k in range(3, 17) if result.res_at(k) == result.res_at(k - 1)
+    ]
     assert same and len(same) < 14
     for k in same:
-        assert res[k] is res[k - 1]
+        assert all(result.res[p] >> k - 1 & 3 == 3 for p in result.res_at(k))
+    assert len(result.res) == len(set().union(
+        *map(result.res_at, range(2, 17))
+    ))

@@ -45,8 +45,8 @@ class TestStoreBasics:
 
     def test_example_2_4_school_counts_at_5(self, store):
         """Example 2.4: one GP student in the top-5, L=2 violated."""
-        assert store.topk_count(((1, "GP"),), 5) == 1
-        assert store.topk_count(((1, "MS"),), 5) == 4
+        assert store.stat(((1, "GP"),)).topk(5) == 1
+        assert store.stat(((1, "MS"),)).topk(5) == 4
 
     def test_two_attr_group(self, store):
         st = store.stat(((1, "MS"), (2, "R")))
@@ -58,7 +58,7 @@ class TestStoreBasics:
         )
         assert fresh.stat(((0, "X"),)) == PatternStat(0, 0)
         assert fresh.size(((0, "X"),)) == 0
-        assert fresh.topk_count(((0, "X"),), 5) == 0
+        assert fresh.stat(((0, "X"),)).topk(5) == 0
 
     def test_domains_sorted(self, store):
         assert store.domains == [
@@ -79,7 +79,7 @@ class TestStoreBasics:
         child = ((0, "F"), (1, "GP"))
         assert store.size(child) <= store.size(parent)
         for k in range(1, 17):
-            assert store.topk_count(child, k) <= store.topk_count(parent, k)
+            assert store.stat(child).topk(k) <= store.stat(parent).topk(k)
 
     def test_group_sizes_partition_dataset(self, store):
         """The value combinations over an attribute set split D: their

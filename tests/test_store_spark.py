@@ -32,8 +32,8 @@ def _null_table() -> pd.DataFrame:
 
 
 def test_counts_match_boolean_masks(stores, paper_ds_spark):
-    """``size`` and ``topk_count`` of every value combination over the four
-    attributes, for every k, against a pandas boolean-mask count. Each
+    """``size`` and ``stat(p).topk(k)`` of every value combination over the
+    four attributes, for every k, against a pandas boolean-mask count. Each
     attribute is left free or set to one of its values or to a value no
     tuple has."""
     pdf = paper_ds_spark.pdf
@@ -47,7 +47,7 @@ def test_counts_match_boolean_masks(stores, paper_ds_spark):
         for store in stores:
             assert store.size(p) == len(ranks), p
             for k in range(1, len(pdf) + 1):
-                assert store.topk_count(p, k) == (ranks <= k).sum(), (p, k)
+                assert store.stat(p).topk(k) == (ranks <= k).sum(), (p, k)
 
 
 def test_spark_domains_and_n(stores):
@@ -108,7 +108,7 @@ def test_topk_counts_against_duckdb(paper_ds_spark):
     )
     store = paper_ds_spark.spark_store()
     for row in agg.collect():
-        assert store.topk_count(((1, str(row["School"])),), 5) == row["topk"]
+        assert store.stat(((1, str(row["School"])),)).topk(5) == row["topk"]
 
 
 def test_construction_runs_no_aggregation(spark, paper_ds_spark):
@@ -132,7 +132,7 @@ def test_construction_runs_no_aggregation(spark, paper_ds_spark):
             ["F", "M"], ["GP", "MS"], ["R", "U"], ["0", "1", "2"]
         ]
         assert ss.row_at_rank(1) == ("F", "GP", "U", "0")
-        assert ss.topk_count(((1, "MS"), (2, "R")), 5) == 3
+        assert ss.stat(((1, "MS"), (2, "R"))).topk(5) == 3
         assert tracker.getJobIdsForGroup("store-lookups") == []
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)

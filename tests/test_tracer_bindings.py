@@ -31,9 +31,9 @@ def test_prop_trace_keyed_by_k(paper_ds):
     tracer, result = _traced_run(
         prop_bounds, paper_ds.pandas_store(), PropSpec(0.8), 1, 2, 16
     )
-    assert set(tracer.per_k) == set(result.res)
-    for k, groups in result.res.items():
-        assert tracer.per_k[k]["res"] == len(groups), k
+    assert set(tracer.per_k) == set(range(result.k_min, result.k_max + 1))
+    for k in tracer.per_k:
+        assert tracer.per_k[k]["res"] == len(result.res_at(k)), k
 
 
 def test_global_restarts_where_bound_steps_up(paper_ds):
