@@ -20,7 +20,7 @@ EMPTY: Pattern = ()
 
 def attr_indices(p: Pattern) -> tuple[int, ...]:
     """The sorted attribute indices referenced by ``p`` (``Attr(p)``)."""
-    return tuple(a for a, _ in p)
+    return next(zip(*p), ())
 
 
 def max_index(p: Pattern) -> int:
@@ -46,6 +46,14 @@ def has_ancestor_in(p: Pattern, pool: AbstractSet[Pattern]) -> bool:
     return not pool.isdisjoint(
         chain.from_iterable(map(combinations, repeat(p), range(len(p))))
     )
+
+
+def ancestor_in(p: Pattern, pool: AbstractSet[Pattern]) -> Pattern | None:
+    """A proper subpattern of ``p`` in ``pool``, or ``None``. The most
+    specific are looked up first, the tree parent ``p[:-1]`` before any."""
+    return next(filter(pool.__contains__, chain.from_iterable(
+        map(combinations, repeat(p), range(len(p) - 1, -1, -1))
+    )), None)
 
 
 def parents(p: Pattern) -> Iterator[Pattern]:

@@ -15,15 +15,22 @@ stays fixed — in the map ``K``. Each step k:
    that turned violating joins the violating set.
 2. ``K`` entries with ``k̃ ≤ k`` not satisfied by the new tuple (their count
    is unchanged, so the bound has caught up with them) become violating.
-3. ``promote`` re-derives ``Res`` from the violating set with
-   :func:`~repro.core.topdown.normalize_frontier`, and ``Res`` sets bit k
-   of its patterns' result masks.
+   Every entry's ``k̃`` is above the previous step, and step 1 gives each
+   pattern it re-evaluates one above k, so these are the entries whose
+   ``k̃`` is k: ``due`` buckets the patterns by ``k̃`` and the step reads
+   bucket k alone.
+3. ``promote`` brings ``Res`` up to date: the violating set is a
+   :class:`~repro.core.topdown.Frontier`, which re-tests only the patterns
+   whose membership the step's changes can have altered, and sets a
+   pattern's result-mask bits when it leaves ``Res`` and at ``k_max``.
 
 Bookkeeping keeps each fact once. A generated pattern is violating iff it
-is in ``violating`` and passing iff it is in ``K``; it has been expanded
-iff it is a key of ``children_of``. Step 3 runs whenever ``violating``
-changed, and nothing before it reads ``Res``. The paper's ``DRes`` is not
-stored: it is ``violating − Res``, read only by the invariant check.
+is in the frontier's violating set and passing iff it is in ``K``; it has
+been expanded iff it is a key of ``children_of``. A bucket entry whose
+pattern has since been given another ``k̃``, or has turned violating, is
+stale and skipped. Nothing before step 3 reads ``Res``, so the order of a
+step's changes does not matter, and step 3 does nothing at a step that
+changed nothing. The paper's ``DRes`` is the violating set less ``Res``.
 
 Expansion and the selective walk carry each node's bitmap down the tree: a
 child's bitmap is its parent's AND one value bitmap. Expansion runs
@@ -39,17 +46,21 @@ decreases monotonically along a search-tree branch (a memory optimisation);
 we keep the ``k̃`` of every passing generated pattern — same output, simpler
 bookkeeping (see DESIGN.md §2).
 
-Invariants (checked in tests via ``check_invariants``): ``violating`` is
-the set of generated currently-violating patterns, ``Res`` its most general
-subset; ``K`` holds the other generated patterns, each expanded.
+Invariants (checked in tests via ``check_invariants``): the violating set
+is the set of generated currently-violating patterns, ``Res`` its most
+general subset (``normalize_frontier`` of it); ``K`` holds the other
+generated patterns, each expanded, with ``k̃ > k`` and, up to ``k_max``,
+in its bucket.
 """
 from __future__ import annotations
 
+from typing import AbstractSet
+
 from repro.core.bounds import PropSpec, check_params
-from repro.core.pattern import EMPTY, Pattern, has_ancestor_in
-from repro.core.result import SearchResult, SearchStats, add_step
+from repro.core.pattern import EMPTY, Pattern
+from repro.core.result import SearchResult, SearchStats
 from repro.core.store import StatsStore
-from repro.core.topdown import normalize_frontier
+from repro.core.topdown import Frontier, normalize_frontier
 
 
 class _PropState:
@@ -60,20 +71,21 @@ class _PropState:
         store: StatsStore,
         spec: PropSpec,
         tau: int,
+        k_max: int,
         stats: SearchStats,
     ):
         self.store = store
         self.spec = spec
         self.tau = tau
+        self.k_max = k_max
         self.stats = stats
-        self.violating: set[Pattern] = set()
-        #: The most general members of ``violating``, set by promote().
-        self.res: set[Pattern] = set()
+        #: The violating set and its ``Res``.
+        self.frontier = Frontier()
         self.K: dict[Pattern, int] = {}  # k̃ of passing patterns
+        #: ``k̃`` -> the patterns given that ``k̃`` (up to ``k_max``). An
+        #: entry is stale once the pattern's ``K`` value is another.
+        self.due: dict[int, list[Pattern]] = {}
         self.children_of: dict[Pattern, list[Pattern]] = {}
-        #: Set when ``violating`` changes; the promote() pass only runs
-        #: when the frontier actually changed this step.
-        self.dirty = False
         #: The ``k`` that ``mask`` and ``linear`` (the spec's bound in
         #: integers) were resolved at, once per step by evaluate().
         self.k = 0
@@ -81,9 +93,15 @@ class _PropState:
         self.linear = (0, 0, 0)
 
     @property
-    def dres(self) -> set[Pattern]:
+    def res(self) -> dict[Pattern, int]:
+        """``Res``, the most general violating patterns (each mapped to
+        the k at which it joined)."""
+        return self.frontier.res
+
+    @property
+    def dres(self) -> AbstractSet[Pattern]:
         """The paper's ``DRes``: the violating patterns not in ``Res``."""
-        return self.violating - self.res
+        return self.frontier.dres
 
     # -- evaluation / expansion -------------------------------------------
     def evaluate(
@@ -99,17 +117,19 @@ class _PropState:
         a, b, t = self.linear
         size = bits.bit_count()
         c = (bits & self.mask).bit_count()
-        was_violating = p in self.violating
+        frontier = self.frontier
+        was_violating = p in frontier.violating
         if a * c < b * size + t:
             if not was_violating:
                 self.K.pop(p, None)
-                self.violating.add(p)
-                self.dirty = True
+                frontier.add(p)
             return
         if was_violating:
-            self.violating.discard(p)
-            self.dirty = True
-        self.K[p] = self.spec.k_tilde(c, size, self.store.n)
+            frontier.discard(p)
+        kt = self.spec.k_tilde(c, size, self.store.n)
+        self.K[p] = kt
+        if kt <= self.k_max:
+            self.due.setdefault(kt, []).append(p)
         if p not in self.children_of:
             self.expand(p, k, visited, bits)
 
@@ -150,37 +170,37 @@ class _PropState:
 
     def fire_k_tilde(self, k: int, visited: set[Pattern]) -> None:
         """Patterns whose ``k̃`` has been reached without a count change are
-        now violating (Algorithm 3, line 6). ``K`` is not in tree order, so
-        each pattern's bitmap comes from ``stat()``."""
-        due = [p for p, kt in self.K.items() if kt <= k and p not in visited]
-        for p in due:
-            self.evaluate(p, k, visited, self.store.stat(p).bits)
+        now violating (Algorithm 3, line 6). Every ``K`` entry has ``k̃``
+        above the previous step, and ``selective_td`` gave each pattern it
+        re-evaluated a ``k̃`` above this one, so the due patterns are those
+        whose ``k̃`` is still ``k``: the live entries of bucket ``k``.
+        ``K`` is not in tree order, so each pattern's bitmap comes from
+        ``stat()``."""
+        K = self.K
+        for p in self.due.pop(k, ()):
+            if K.get(p) == k:
+                self.evaluate(p, k, visited, self.store.stat(p).bits)
 
-    def promote(self) -> None:
-        """Re-derive ``Res``, the most general violating generated
-        patterns. A closed-form pass is order-independent, so it settles
-        every mid-step transition: new violators, crossers removed before
-        their descendants were seen. Skipped when ``violating`` did not
-        change this step (``Res`` cannot have changed)."""
-        if not self.dirty:
-            return
-        self.dirty = False
-        self.res = normalize_frontier(self.violating)
+    def promote(self, k: int) -> None:
+        """Bring ``Res`` up to date with the step's changes to the
+        violating set (step 3)."""
+        self.frontier.promote(k)
 
     def check_invariants(self, k: int) -> None:
         """Debug/test hook: verify the documented invariants at position k."""
         n = self.store.n
-        assert self.res <= self.violating
-        for p in self.violating:
+        self.frontier.check_invariants()
+        violating = self.frontier.violating
+        for p in violating:
             st = self.store.stat(p)
             assert self.spec.violates(st.topk(k), st.size, k, n), p
-        for p in self.res:
-            assert not has_ancestor_in(p, self.violating), p
-        for d in self.dres:
-            assert has_ancestor_in(d, self.res), d
+        assert self.res.keys() == normalize_frontier(violating), k
+        due = {kt: set(ps) for kt, ps in self.due.items()}
+        assert all(kt > k for kt in due), (sorted(due), k)
         for p, kt in self.K.items():
             assert kt > k and p in self.children_of, (p, kt, k)
-            assert p not in self.violating, p
+            assert p not in violating, p
+            assert kt > self.k_max or p in due[kt], (p, kt)
 
 
 def prop_bounds(
@@ -196,13 +216,11 @@ def prop_bounds(
     for every k in ``[k_min, k_max]`` (Algorithm 3)."""
     check_params(store.n, tau, k_min, k_max)
     stats = SearchStats(deadline=deadline)
-    s = _PropState(store, spec, tau, stats)
+    s = _PropState(store, spec, tau, k_max, stats)
     visited: set[Pattern] = set()
     # Full top-down search for k_min.
     s.expand(EMPTY, k_min, visited, store.all_bits)
-    s.promote()
-    masks: dict = {}
-    add_step(masks, s.res, k_min)
+    s.promote(k_min)
     if _debug_invariants:
         s.check_invariants(k_min)
 
@@ -212,8 +230,7 @@ def prop_bounds(
         new_tuple = store.row_at_rank(k)
         s.selective_td(new_tuple, k, visited)
         s.fire_k_tilde(k, visited)
-        s.promote()
-        add_step(masks, s.res, k)
+        s.promote(k)
         if _debug_invariants:
             s.check_invariants(k)
-    return SearchResult(masks, k_min, k_max, stats)
+    return SearchResult(s.frontier.close(k_max), k_min, k_max, stats)

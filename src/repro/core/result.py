@@ -46,7 +46,9 @@ def add_step(
     masks: dict[Pattern, int], res: Iterable[Pattern], k: int
 ) -> None:
     """Record ``res`` as ``Res_k``: set bit ``k`` of each of its patterns'
-    masks. Every producer calls it once per k of its range."""
+    masks. ITERTD and brute force call it once per k of their range; the
+    incremental searches set whole runs of bits through their
+    :class:`~repro.core.topdown.Frontier`."""
     bit = 1 << k
     for p in res:
         masks[p] = masks.get(p, 0) | bit

@@ -88,7 +88,7 @@ def test_algorithms_match_brute_force(table):
     g_args = (store, global_spec, tau, 1, n)
     expected = brute_force(*g_args).res
     assert iter_td(*g_args).res == expected
-    assert global_bounds(*g_args).res == expected
+    assert global_bounds(*g_args, _debug_invariants=True).res == expected
     p_args = (store, PropSpec(alpha), tau, 1, n)
     expected = brute_force(*p_args).res
     assert iter_td(*p_args).res == expected

@@ -19,6 +19,8 @@ CASES = [
      40_551, 24_494, 350),
     ("german_ds", 8, global_bounds, paper_default_global(), 20, 10, 300,
      8_905, 27_801, 294),
+    ("german_ds", 8, global_bounds, paper_default_global(), 20, 10, 1000,
+     33_214, 440_110, 1_380),
     ("compas_ds", 10, prop_bounds, PropSpec(0.8), 50, 10, 49,
      43_740, 2_443, 301),
     ("student_ds", 10, global_bounds, paper_default_global(), 50, 10, 49,
