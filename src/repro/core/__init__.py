@@ -8,9 +8,7 @@ from repro.core.pattern import (  # noqa: F401
     children,
     has_ancestor_in,
     max_index,
-    parents,
     pattern_to_str,
-    satisfies,
 )
 from repro.core.bounds import (  # noqa: F401
     GlobalSpec,

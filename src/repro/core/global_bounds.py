@@ -28,12 +28,11 @@ from __future__ import annotations
 from repro.core.bounds import GlobalSpec, check_params
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import StatsStore
-from repro.core.topdown import (
-    Frontier,
-    normalize_frontier,
-    resume_search,
-    top_down_search,
-)
+from repro.core.topdown import Frontier, resume_search, top_down_search
+
+# Not called here: the benchmark's span tracer (``perfbench/spans.py``)
+# binds the name in this module (ROADMAP item 1).
+from repro.core.topdown import normalize_frontier  # noqa: F401
 
 
 def global_bounds(
@@ -43,7 +42,6 @@ def global_bounds(
     k_min: int,
     k_max: int,
     deadline: float | None = None,
-    _debug_invariants: bool = False,
 ) -> SearchResult:
     """Detect most general patterns with biased representation (global
     lower bounds) for every k in ``[k_min, k_max]``."""
@@ -56,11 +54,6 @@ def global_bounds(
             stats.check_deadline()
             _step(store, spec, tau, k, stats, frontier)
         frontier.promote(k)
-        if _debug_invariants:
-            frontier.check_invariants()
-            assert frontier.res.keys() == normalize_frontier(
-                frontier.violating
-            ), k
     return SearchResult(frontier.close(k_max), k_min, k_max, stats)
 
 

@@ -28,12 +28,6 @@ def max_index(p: Pattern) -> int:
     return p[-1][0] if p else -1
 
 
-def satisfies(row: Sequence[str], p: Pattern) -> bool:
-    """True iff a tuple (as a value list indexed by attribute index)
-    satisfies ``p``, i.e. matches every pair of ``p``."""
-    return all(row[a] == v for a, v in p)
-
-
 def has_ancestor_in(p: Pattern, pool: AbstractSet[Pattern]) -> bool:
     """True iff some *proper* subpattern of ``p`` is in ``pool``.
 
@@ -54,12 +48,6 @@ def ancestor_in(p: Pattern, pool: AbstractSet[Pattern]) -> Pattern | None:
     return next(filter(pool.__contains__, chain.from_iterable(
         map(combinations, repeat(p), range(len(p) - 1, -1, -1))
     )), None)
-
-
-def parents(p: Pattern) -> Iterator[Pattern]:
-    """All parents of ``p`` in the *pattern graph* (one pair removed)."""
-    for i in range(len(p)):
-        yield p[:i] + p[i + 1 :]
 
 
 def children(

@@ -210,7 +210,6 @@ def prop_bounds(
     k_min: int,
     k_max: int,
     deadline: float | None = None,
-    _debug_invariants: bool = False,
 ) -> SearchResult:
     """Detect most general patterns with biased proportional representation
     for every k in ``[k_min, k_max]`` (Algorithm 3)."""
@@ -221,8 +220,6 @@ def prop_bounds(
     # Full top-down search for k_min.
     s.expand(EMPTY, k_min, visited, store.all_bits)
     s.promote(k_min)
-    if _debug_invariants:
-        s.check_invariants(k_min)
 
     for k in range(k_min + 1, k_max + 1):
         stats.check_deadline()
@@ -231,6 +228,4 @@ def prop_bounds(
         s.selective_td(new_tuple, k, visited)
         s.fire_k_tilde(k, visited)
         s.promote(k)
-        if _debug_invariants:
-            s.check_invariants(k)
     return SearchResult(s.frontier.close(k_max), k_min, k_max, stats)

@@ -305,8 +305,8 @@ class Frontier:
         """Debug/test hook, after :meth:`promote`: ``Res`` and ``DRes``
         split the violating set, every witness is a violating proper
         subpattern of its pattern and lists it as a dependent, and the
-        attribute-set counts are those of the set. The searches' own checks
-        compare ``Res`` with ``normalize_frontier(violating)``."""
+        attribute-set counts are those of the set. The tests' invariant
+        hook also compares ``Res`` with ``normalize_frontier(violating)``."""
         assert not (self._added or self._removed)
         violating, res, witness = self.violating, self.res, self.witness
         assert res.keys() | witness.keys() == violating

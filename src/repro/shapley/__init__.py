@@ -6,7 +6,6 @@ comparison of Figures 10d–f."""
 from repro.shapley.cart import RegressionForest, RegressionTree  # noqa: F401
 from repro.shapley.encode import encode_features  # noqa: F401
 from repro.shapley.shapley import (  # noqa: F401
-    group_shapley,
     group_shapley_spark,
     mc_shapley,
 )

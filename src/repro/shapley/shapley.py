@@ -70,23 +70,6 @@ def tuple_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng((seed, 1, i))
 
 
-def group_shapley(
-    predict: PredictFn,
-    X_group: np.ndarray,
-    background: np.ndarray,
-    n_samples: int = 64,
-    seed: int = 0,
-) -> np.ndarray:
-    """Driver-side reference: mean per-tuple Shapley vector of a group.
-    Tuple ``i`` draws from ``tuple_rng(seed, i)``, as in
-    :func:`group_shapley_spark`."""
-    acc = np.zeros(X_group.shape[1], dtype=np.float64)
-    for i, row in enumerate(X_group):
-        rng = tuple_rng(seed, i)
-        acc += mc_shapley(predict, row, background, n_samples, rng)
-    return acc / len(X_group)
-
-
 def group_shapley_spark(
     spark: SparkSession,
     model,
@@ -100,9 +83,11 @@ def group_shapley_spark(
     parallel with ``mapInPandas`` (model + background shipped in the
     closure), reduced to the group vector with a DataFrame ``avg``.
 
-    Per-tuple RNG streams are seeded from the tuple's stable index so the
-    result is independent of partitioning and equals :func:`group_shapley`
-    up to the order of the floating-point sums.
+    Tuple ``i`` draws from ``tuple_rng(seed, i)``, keyed by its stable
+    index, so the result is independent of partitioning: it equals the mean
+    of ``mc_shapley`` over the tuples, each with its own stream, up to the
+    order of the floating-point sums (the driver-side reference the tests
+    compare against).
     """
     names = list(feature_names)
     # Positional internal column names (f0..fm) keep the mapInPandas schema

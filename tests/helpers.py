@@ -1,17 +1,87 @@
 """Test helpers: randomized ranked datasets (driver-only) for the
-algorithm-equivalence grids, random bound specs, and the check of a
-store's derived child bitmaps."""
+algorithm-equivalence grids, random bound specs, the check of a store's
+derived child bitmaps, the invariant checks of the incremental searches,
+and the references that only tests use (tuple satisfaction, pattern-graph
+parents, the driver-side group Shapley vector)."""
 from __future__ import annotations
 
+import contextlib
 import math
+from collections import Counter
+from typing import Iterator, Sequence
 
 import numpy as np
 import pandas as pd
 
 from repro.core.bounds import GlobalSpec
-from repro.core.pattern import EMPTY, children
+from repro.core.pattern import EMPTY, Pattern, children
+from repro.core.prop_bounds import _PropState
 from repro.core.store import PatternStat, StatsStore
+from repro.core.topdown import Frontier, normalize_frontier
 from repro.datasets.base import RankedDataset
+from repro.shapley.shapley import PredictFn, mc_shapley, tuple_rng
+
+
+def satisfies(row: Sequence[str], p: Pattern) -> bool:
+    """True iff a tuple (as a value list indexed by attribute index)
+    satisfies ``p``, i.e. matches every pair of ``p``."""
+    return all(row[a] == v for a, v in p)
+
+
+def parents(p: Pattern) -> Iterator[Pattern]:
+    """All parents of ``p`` in the *pattern graph* (one pair removed)."""
+    for i in range(len(p)):
+        yield p[:i] + p[i + 1 :]
+
+
+def group_shapley(
+    predict: PredictFn,
+    X_group: np.ndarray,
+    background: np.ndarray,
+    n_samples: int = 64,
+    seed: int = 0,
+) -> np.ndarray:
+    """Driver-side reference for ``group_shapley_spark``: the mean
+    per-tuple Shapley vector of a group. Tuple ``i`` draws from
+    ``tuple_rng(seed, i)``, as on the workers."""
+    acc = np.zeros(X_group.shape[1], dtype=np.float64)
+    for i, row in enumerate(X_group):
+        rng = tuple_rng(seed, i)
+        acc += mc_shapley(predict, row, background, n_samples, rng)
+    return acc / len(X_group)
+
+
+@contextlib.contextmanager
+def invariant_checks() -> Iterator[Counter]:
+    """Check the incremental searches' invariants at every k of the block.
+
+    After every ``Frontier.promote`` (one per k in GLOBALBOUNDS and
+    PROPBOUNDS, ``k_min`` included) the frontier's own checks run and its
+    ``Res`` must equal ``normalize_frontier`` of the violating set. After
+    every ``_PropState.promote`` PROPBOUNDS' invariants at that k run too.
+    Yields the number of checks made, under ``"frontier"`` and ``"prop"``.
+    """
+    checks: Counter = Counter()
+    frontier_promote, prop_promote = Frontier.promote, _PropState.promote
+
+    def checked_frontier_promote(self: Frontier, k: int) -> None:
+        frontier_promote(self, k)
+        self.check_invariants()
+        assert self.res.keys() == normalize_frontier(self.violating), k
+        checks["frontier"] += 1
+
+    def checked_prop_promote(self: _PropState, k: int) -> None:
+        prop_promote(self, k)
+        self.check_invariants(k)
+        checks["prop"] += 1
+
+    Frontier.promote = checked_frontier_promote
+    _PropState.promote = checked_prop_promote
+    try:
+        yield checks
+    finally:
+        Frontier.promote = frontier_promote
+        _PropState.promote = prop_promote
 
 
 def make_random_ranked(

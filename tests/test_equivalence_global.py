@@ -6,7 +6,7 @@ from repro.core import iter_td
 from repro.core.brute_force import brute_force
 from repro.core.global_bounds import global_bounds
 from repro.core.bounds import GlobalSpec
-from tests.helpers import make_random_ranked, random_params
+from tests.helpers import invariant_checks, make_random_ranked, random_params
 
 SEEDS = list(range(40))
 
@@ -20,7 +20,8 @@ def test_global_algorithms_match_brute_force(seed):
     args = (store, spec, params["tau"], params["k_min"], params["k_max"])
     bf = brute_force(*args).res
     it = iter_td(*args).res
-    gb = global_bounds(*args, _debug_invariants=True).res
+    with invariant_checks():
+        gb = global_bounds(*args).res
     assert it == bf, f"ITERTD mismatch (seed={seed}, params={params})"
     assert gb == bf, f"GLOBALBOUNDS mismatch (seed={seed}, params={params})"
 
@@ -35,9 +36,8 @@ def test_global_constant_bound_no_restarts(seed):
     spec = GlobalSpec({k_min: 2})
     for tau in (1, 5):
         args = (store, spec, tau, k_min, k_max)
-        assert global_bounds(
-            *args, _debug_invariants=True
-        ).res == brute_force(*args).res
+        with invariant_checks():
+            assert global_bounds(*args).res == brute_force(*args).res
 
 
 @pytest.mark.parametrize("seed", SEEDS[:10])
@@ -49,9 +49,8 @@ def test_global_bound_increases_every_step(seed):
     k_min, k_max = 3, min(ds.n, 14)
     spec = GlobalSpec({k: max(1, k - 2) for k in range(k_min, k_max + 1)})
     args = (store, spec, 2, k_min, k_max)
-    assert global_bounds(
-        *args, _debug_invariants=True
-    ).res == iter_td(*args).res
+    with invariant_checks():
+        assert global_bounds(*args).res == iter_td(*args).res
 
 
 def test_global_examined_fewer_than_baseline(paper_ds):

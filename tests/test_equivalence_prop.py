@@ -7,7 +7,7 @@ from repro.core import iter_td
 from repro.core.brute_force import brute_force
 from repro.core.prop_bounds import prop_bounds
 from repro.core.bounds import PropSpec
-from tests.helpers import make_random_ranked, random_params
+from tests.helpers import invariant_checks, make_random_ranked, random_params
 
 SEEDS = list(range(40))
 
@@ -21,7 +21,8 @@ def test_prop_algorithms_match_brute_force(seed):
     args = (store, spec, params["tau"], params["k_min"], params["k_max"])
     bf = brute_force(*args).res
     it = iter_td(*args).res
-    pb = prop_bounds(*args, _debug_invariants=True).res
+    with invariant_checks():
+        pb = prop_bounds(*args).res
     assert it == bf, f"ITERTD mismatch (seed={seed}, params={params})"
     assert pb == bf, f"PROPBOUNDS mismatch (seed={seed}, params={params})"
 
@@ -31,7 +32,8 @@ def test_prop_alpha_sweep_on_paper_example(paper_ds, alpha):
     store = paper_ds.pandas_store()
     spec = PropSpec(alpha)
     args = (store, spec, 3, 3, 12)
-    assert prop_bounds(*args, _debug_invariants=True).res == brute_force(*args).res
+    with invariant_checks():
+        assert prop_bounds(*args).res == brute_force(*args).res
 
 
 @pytest.mark.parametrize("seed", SEEDS[:8])
@@ -41,7 +43,8 @@ def test_prop_full_range(seed):
     store = ds.pandas_store()
     spec = PropSpec(0.8)
     args = (store, spec, 2, 1, ds.n)
-    assert prop_bounds(*args, _debug_invariants=True).res == brute_force(*args).res
+    with invariant_checks():
+        assert prop_bounds(*args).res == brute_force(*args).res
 
 
 def test_prop_results_satisfy_definition(paper_ds):
@@ -60,9 +63,8 @@ def test_prop_tiny_alpha_only_zero_count_patterns(paper_ds):
     """With a tiny α the bound is a tiny positive number, so exactly the
     substantial patterns with *zero* top-k presence violate."""
     store = paper_ds.pandas_store()
-    result = prop_bounds(
-        store, PropSpec(1e-9), 1, 2, 10, _debug_invariants=True
-    )
+    with invariant_checks():
+        result = prop_bounds(store, PropSpec(1e-9), 1, 2, 10)
     for k in range(2, 11):
         for p in result.res_at(k):
             assert store.stat(p).topk(k) == 0

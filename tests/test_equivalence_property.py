@@ -32,7 +32,7 @@ from repro.core.pattern import children
 from repro.core.prop_bounds import prop_bounds
 from repro.core.result import SearchStats
 from repro.core.topdown import resume_search, top_down_search
-from tests.helpers import assert_tree_children_match_stat
+from tests.helpers import assert_tree_children_match_stat, invariant_checks
 
 
 @st.composite
@@ -88,11 +88,13 @@ def test_algorithms_match_brute_force(table):
     g_args = (store, global_spec, tau, 1, n)
     expected = brute_force(*g_args).res
     assert iter_td(*g_args).res == expected
-    assert global_bounds(*g_args, _debug_invariants=True).res == expected
+    with invariant_checks():
+        assert global_bounds(*g_args).res == expected
     p_args = (store, PropSpec(alpha), tau, 1, n)
     expected = brute_force(*p_args).res
     assert iter_td(*p_args).res == expected
-    assert prop_bounds(*p_args, _debug_invariants=True).res == expected
+    with invariant_checks():
+        assert prop_bounds(*p_args).res == expected
 
 
 @settings(max_examples=100, deadline=None)

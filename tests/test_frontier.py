@@ -8,9 +8,9 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pattern import satisfies
 from repro.core.result import add_step
 from repro.core.topdown import Frontier, normalize_frontier
+from tests.helpers import satisfies
 
 #: Every non-empty pattern over 3 attributes with values ``a``, ``b``.
 PATTERNS = [

@@ -11,6 +11,7 @@ from repro.core.brute_force import brute_force
 from repro.core.global_bounds import global_bounds
 from repro.core.prop_bounds import prop_bounds
 from repro.datasets.hardness import hardness_construction
+from tests.helpers import invariant_checks
 
 
 def _expected_patterns(n):
@@ -37,7 +38,8 @@ def test_prop_bounds_worst_case(n):
     ds = hardness_construction(n)
     store = ds.pandas_store()
     spec = PropSpec((n + 3) / (n + 4))
-    res = prop_bounds(store, spec, 1, n, n, _debug_invariants=True).res_at(n)
+    with invariant_checks():
+        res = prop_bounds(store, spec, 1, n, n).res_at(n)
     assert _expected_patterns(n) <= set(res)
     assert len(res) >= comb(n, n // 2)
     assert brute_force(store, spec, 1, n, n).res_at(n) == res

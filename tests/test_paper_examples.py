@@ -14,6 +14,7 @@ from repro.core.global_bounds import global_bounds
 from repro.core.prop_bounds import prop_bounds
 from repro.core.topdown import normalize_frontier, top_down_search
 from repro.core.result import SearchStats
+from tests.helpers import invariant_checks
 
 # Attribute indices in the running example.
 G, S, A, F = 0, 1, 2, 3
@@ -90,11 +91,11 @@ class TestExample49PropBounds:
 
     @pytest.fixture(scope="class")
     def results(self, store):
+        with invariant_checks():
+            prop = prop_bounds(store, self.SPEC, 5, 4, 5)
         return {
             "iter": iter_td(store, self.SPEC, 5, 4, 5),
-            "prop": prop_bounds(
-                store, self.SPEC, 5, 4, 5, _debug_invariants=True
-            ),
+            "prop": prop,
             "brute": brute_force(store, self.SPEC, 5, 4, 5),
         }
 

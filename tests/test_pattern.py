@@ -9,10 +9,9 @@ from repro.core.pattern import (
     children,
     has_ancestor_in,
     max_index,
-    parents,
     pattern_to_str,
-    satisfies,
 )
+from tests.helpers import parents, satisfies
 
 DOMAINS = [["a", "b"], ["x", "y", "z"], ["0", "1"]]
 

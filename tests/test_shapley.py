@@ -3,7 +3,7 @@ feature encoding (paper Section V)."""
 import numpy as np
 import pytest
 
-from repro.shapley import encode_features, group_shapley, mc_shapley
+from repro.shapley import encode_features, mc_shapley
 from repro.shapley.shapley import tuple_rng
 from repro.shapley.analysis import (
     distribution_distance,
@@ -11,6 +11,7 @@ from repro.shapley.analysis import (
     top_attributes,
     value_distributions,
 )
+from tests.helpers import group_shapley
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 """Distributed Shapley computation: the mapInPandas + DataFrame-avg path
-must reproduce the driver-side ``group_shapley`` (per-tuple RNG streams are
-keyed by tuple index, so partitioning cannot change results)."""
+must reproduce the driver-side ``group_shapley`` of ``tests/helpers.py``
+(per-tuple RNG streams are keyed by tuple index, so partitioning cannot
+change results)."""
 import numpy as np
 import pytest
 
-from repro.shapley import group_shapley, group_shapley_spark
+from repro.shapley import group_shapley_spark
 from repro.shapley.cart import RegressionForest
+from tests.helpers import group_shapley
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
 """The pattern-statistics store over a Spark table: its rows against the
 same table's in pandas, the counts of both sources against pandas boolean
-masks, the ranked Spark table against the DuckDB oracle
-(repro.oracle.assert_equivalent), and the checks of its input's columns
-and rank values. Past the source step both tables take one driver path, so
-equal rows give equal statistics."""
+masks and against pandas group-bys (group sizes, rank extrema and sums,
+top-k counts), and the checks of its input's columns and rank values. Past
+the source step both tables take one driver path, so equal rows give equal
+statistics."""
 from itertools import product
 
 import pandas as pd
@@ -11,7 +11,6 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.store import PatternStat, StatsStore
-from repro.oracle import assert_equivalent
 from repro.ranking.rankers import add_rank
 from tests.helpers import assert_tree_children_match_stat
 
@@ -72,43 +71,40 @@ def test_spark_store_on_synthetic_dataset(student_ds):
         assert ss.row_at_rank(k) == ps.row_at_rank(k)
 
 
-def test_group_counts_against_duckdb(paper_ds_spark):
-    """The ranked Spark table the store reads, grouped in Spark and checked
-    by the DuckDB oracle (scalar projection: count + rank extrema, arrays
-    are not orderable)."""
-    df = paper_ds_spark.df
-    agg = df.groupBy("Gender", "School").agg(
-        F.count(F.lit(1)).alias("cnt"),
-        F.min("rank").alias("min_rank"),
-        F.sum("rank").alias("sum_rank"),
+def test_group_counts_against_pandas_groupby(stores, paper_ds_spark):
+    """Every (Gender, School) pattern's bitmap, from both row sources,
+    against a pandas group-by of the table: its size is the group's count,
+    its lowest set bit + 1 the group's best rank, and the sum of its set
+    bit positions + 1 the group's rank sum. A value pair with no tuple is
+    no group and has an empty bitmap."""
+    pdf = paper_ds_spark.pdf.astype({"Gender": str, "School": str})
+    groups = pdf.groupby(["Gender", "School"])["rank"].agg(
+        ["count", "min", "sum"]
     )
-    assert_equivalent(
-        agg,
-        """
-        SELECT Gender, School, count(*) AS cnt,
-               min(rank) AS min_rank, sum(rank) AS sum_rank
-        FROM students GROUP BY Gender, School
-        """,
-        students=paper_ds_spark.pdf,
-    )
+    for store in stores:
+        for g, s in product(*store.domains[:2]):
+            st = store.stat(((0, g), (1, s)))
+            ranks = [r + 1 for r in range(store.n) if st.bits >> r & 1]
+            if (g, s) not in groups.index:
+                assert st.size == 0 and not ranks, (g, s)
+                continue
+            count, lo, total = groups.loc[(g, s)]
+            assert st.size == len(ranks) == count, (g, s)
+            assert (st.bits & -st.bits).bit_length() == min(ranks) == lo
+            assert sum(ranks) == total, (g, s)
 
 
-def test_topk_counts_against_duckdb(paper_ds_spark):
-    """s_{R^5}(p) for every single-attribute pattern vs a DuckDB filter."""
-    df = paper_ds_spark.df
-    agg = (
-        df.where(F.col("rank") <= 5)
-        .groupBy("School")
-        .agg(F.count(F.lit(1)).alias("topk"))
-    )
-    assert_equivalent(
-        agg,
-        "SELECT School, count(*) AS topk FROM students WHERE rank <= 5 GROUP BY School",
-        students=paper_ds_spark.pdf,
-    )
-    store = paper_ds_spark.spark_store()
-    for row in agg.collect():
-        assert store.stat(((1, str(row["School"])),)).topk(5) == row["topk"]
+def test_topk_counts_against_pandas_filter(stores, paper_ds_spark):
+    """s_{R^5}(p) of every single-attribute pattern, from both row
+    sources, against a pandas filter to the top 5 and a group count."""
+    pdf = paper_ds_spark.pdf
+    for i, attr in enumerate(ATTRS):
+        top5 = pdf[pdf["rank"] <= 5].groupby(pdf[attr].astype(str)).size()
+        for store in stores:
+            for v in store.domains[i]:
+                assert store.stat(((i, v),)).topk(5) == top5.get(v, 0), (
+                    attr, v
+                )
 
 
 def test_construction_runs_no_aggregation(spark, paper_ds_spark):

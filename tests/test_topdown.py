@@ -6,11 +6,11 @@ import pytest
 from repro.core import GlobalSpec, PropSpec, StatsStore, iter_td
 from repro.core.global_bounds import global_bounds
 from repro.core.prop_bounds import prop_bounds
-from repro.core.pattern import EMPTY, satisfies
+from repro.core.pattern import EMPTY
 from repro.core.result import SearchStats, SearchTimeout
 from repro.core.topdown import normalize_frontier, top_down_search
 from repro.datasets.hardness import hardness_construction
-from tests.helpers import make_random_ranked
+from tests.helpers import make_random_ranked, satisfies
 
 
 class _RecordingStore:
