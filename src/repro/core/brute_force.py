@@ -1,42 +1,44 @@
 """Brute-force reference for both problem definitions.
 
-Enumerates *every* pattern with ``s_D(p) ≥ τ_s``, finds the violating ones
-per k, and keeps those with no violating proper subpattern — a direct
-transcription of the most-general-pattern definition in Section III; each
-k's most general violators set bit k of their result masks. The
-enumeration walks the search tree pruned by τ_s alone, with none of the
-algorithms' bound pruning or bookkeeping. Used as the correctness oracle
-for ITERTD / GLOBALBOUNDS / PROPBOUNDS in tests. Its cost grows with the
-number of substantial patterns, which every k's filter scans.
+Enumerates *every* pattern with ``s_D(p) ≥ τ_s`` and reads each k's most
+general violators (Section III) off the generalization lattice in one
+pass. Each pattern p gets two bitmasks over the k range: ``V(p)``, the k
+at which p violates, and ``A(p)``, the OR of ``V(q) | A(q)`` over its
+immediate parents q (p less one pair): the k at which a proper
+subpattern violates. p is in ``Res_k`` iff bit k of ``V(p) & ~A(p)`` is
+set. None of the algorithms' bound pruning, ``Res``/``DRes`` bookkeeping
+or ``k̃`` is used: the tests check the three algorithms against it.
 """
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
+
 from repro.core.bounds import GlobalSpec, PropSpec, check_params
-from repro.core.pattern import EMPTY, Pattern, children, has_ancestor_in
-from repro.core.result import SearchResult, add_step
+from repro.core.pattern import EMPTY, Pattern, children
+from repro.core.result import SearchResult
 from repro.core.store import PatternStat, StatsStore
 
 
 def substantial_patterns(
     store: StatsStore, tau: int
-) -> dict[Pattern, PatternStat]:
-    """Every non-empty pattern with size ≥ τ_s: a walk down the search tree
-    (Definition 4.1) that prunes a pattern below τ_s with its subtree.
+) -> Iterator[tuple[Pattern, PatternStat]]:
+    """Every non-empty pattern with size ≥ τ_s, with its statistics: a
+    breadth-first walk down the search tree (Definition 4.1) that prunes a
+    pattern below τ_s with its subtree.
 
     Any ancestor of a substantial pattern is substantial too (sizes are
     anti-monotone), so the pruning loses none, and the set is closed under
-    generalization — the most-general check below never needs a pattern
-    outside it.
+    generalization. The walk yields the patterns by length, so each
+    pattern's immediate parents come before it.
     """
-    out: dict[Pattern, PatternStat] = {}
-    stack = [EMPTY]
-    while stack:
-        for child in children(stack.pop(), store.domains):
+    queue = deque([EMPTY])
+    while queue:
+        for child in children(queue.popleft(), store.domains):
             stat = store.stat(child)
             if stat.size >= tau:
-                out[child] = stat
-                stack.append(child)
-    return out
+                yield child, stat
+                queue.append(child)
 
 
 def brute_force(
@@ -48,17 +50,23 @@ def brute_force(
 ) -> SearchResult:
     """Reference result: most general substantial violating patterns per k."""
     check_params(store.n, tau, k_min, k_max)
-    substantial = substantial_patterns(store, tau)
     n = store.n
+    steps = [
+        (k, (1 << k) - 1, *spec.linear(k, n)) for k in range(k_min, k_max + 1)
+    ]
+    #: ``V(p) | A(p)``: the k at which p or a proper subpattern violates.
+    #: The empty pattern is never a result, so it covers no k.
+    covered: dict[Pattern, int] = {EMPTY: 0}
     masks: dict[Pattern, int] = {}
-    for k in range(k_min, k_max + 1):
-        a, b, t = spec.linear(k, n)
-        mask = (1 << k) - 1
-        violating = {
-            p
-            for p, st in substantial.items()
-            if a * (st.bits & mask).bit_count() < b * st.size + t
-        }
-        res = (p for p in violating if not has_ancestor_in(p, violating))
-        add_step(masks, res, k)
+    for p, st in substantial_patterns(store, tau):
+        violates = 0
+        for k, mask, a, b, t in steps:
+            if a * (st.bits & mask).bit_count() < b * st.size + t:
+                violates |= 1 << k
+        above = 0
+        for i in range(len(p)):
+            above |= covered[p[:i] + p[i + 1:]]
+        if violates & ~above:
+            masks[p] = violates & ~above
+        covered[p] = violates | above
     return SearchResult(masks, k_min, k_max)

@@ -1,12 +1,15 @@
 """ITERTD — the paper's baseline: Algorithm 1 re-run for every k in the
 range (Section IV-A). Handles both problem definitions through the spec.
-Each k's Res sets bit k of its patterns' result masks."""
+Each k's search starts again at the root; only the ``Res`` bookkeeping is
+shared: each k's violating set replaces the last in a
+:class:`~repro.core.topdown.Frontier`, which updates ``Res`` from what
+changed and sets the result masks."""
 from __future__ import annotations
 
 from repro.core.bounds import GlobalSpec, PropSpec, check_params
-from repro.core.result import SearchResult, SearchStats, add_step
+from repro.core.result import SearchResult, SearchStats
 from repro.core.store import StatsStore
-from repro.core.topdown import normalize_frontier, top_down_search
+from repro.core.topdown import Frontier, top_down_search
 
 
 def iter_td(
@@ -17,12 +20,12 @@ def iter_td(
     k_max: int,
     deadline: float | None = None,
 ) -> SearchResult:
-    """Detect most general biased patterns for each k by independent
-    top-down searches — no state is carried between consecutive k values."""
+    """Detect most general biased patterns for each k by a top-down search
+    from the root per k."""
     check_params(store.n, tau, k_min, k_max)
     stats = SearchStats(deadline=deadline)
-    masks: dict = {}
+    frontier = Frontier()
     for k in range(k_min, k_max + 1):
-        violating = top_down_search(store, spec, tau, k, stats)
-        add_step(masks, normalize_frontier(violating), k)
-    return SearchResult(masks, k_min, k_max, stats)
+        frontier.replace(top_down_search(store, spec, tau, k, stats))
+        frontier.promote(k)
+    return SearchResult(frontier.close(k_max), k_min, k_max, stats)

@@ -46,11 +46,11 @@ decreases monotonically along a search-tree branch (a memory optimisation);
 we keep the ``k̃`` of every passing generated pattern — same output, simpler
 bookkeeping (see DESIGN.md §2).
 
-Invariants (checked in tests via ``check_invariants``): the violating set
-is the set of generated currently-violating patterns, ``Res`` its most
-general subset (``normalize_frontier`` of it); ``K`` holds the other
-generated patterns, each expanded, with ``k̃ > k`` and, up to ``k_max``,
-in its bucket.
+Invariants (checked in tests via ``check_invariants`` and the frontier's
+own checks): the violating set is the set of generated currently-violating
+patterns, ``Res`` its most general subset (``normalize_frontier`` of it);
+``K`` holds the other generated patterns, each expanded, with ``k̃ > k``
+and, up to ``k_max``, in its bucket.
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ from repro.core.bounds import PropSpec, check_params
 from repro.core.pattern import EMPTY, Pattern
 from repro.core.result import SearchResult, SearchStats
 from repro.core.store import StatsStore
-from repro.core.topdown import Frontier, normalize_frontier
+from repro.core.topdown import Frontier
 
 
 class _PropState:
@@ -104,12 +104,9 @@ class _PropState:
         return self.frontier.dres
 
     # -- evaluation / expansion -------------------------------------------
-    def evaluate(
-        self, p: Pattern, k: int, visited: set[Pattern], bits: int
-    ) -> None:
+    def evaluate(self, p: Pattern, k: int, bits: int) -> None:
         """(Re-)evaluate the status of a generated pattern, whose bitmap is
         ``bits``, at position k; expand it on its first pass."""
-        visited.add(p)
         self.stats.examine()
         if k != self.k:
             self.k, self.mask = k, (1 << k) - 1
@@ -131,11 +128,9 @@ class _PropState:
         if kt <= self.k_max:
             self.due.setdefault(kt, []).append(p)
         if p not in self.children_of:
-            self.expand(p, k, visited, bits)
+            self.expand(p, k, bits)
 
-    def expand(
-        self, p: Pattern, k: int, visited: set[Pattern], bits: int
-    ) -> None:
+    def expand(self, p: Pattern, k: int, bits: int) -> None:
         """Generate ``p``'s search-tree children from its bitmap ``bits``
         and evaluate each substantial one — recursing through their own
         expansions. Every extension counts as examined; a child under τ_s
@@ -149,26 +144,31 @@ class _PropState:
             if child_bits.bit_count() >= self.tau:
                 child = p + pair
                 kept.append(child)
-                self.evaluate(child, k, visited, child_bits)
+                self.evaluate(child, k, child_bits)
 
     # -- per-step phases ---------------------------------------------------
-    def selective_td(self, new_tuple: tuple, k: int, visited: set) -> None:
+    def selective_td(self, new_tuple: tuple, k: int) -> None:
         """Walk generated nodes satisfied by the new tuple (they form a
         connected subtree rooted at the empty pattern), re-evaluating each.
         A child of a satisfied node is satisfied iff its last pair is, and
-        its bitmap is the node's AND that pair's value bitmap."""
+        its bitmap is the node's AND that pair's value bitmap. The walk
+        goes on below a node only if the node had been expanded before:
+        a first expansion has just evaluated the whole new subtree at k."""
         value_bits = self.store.value_bits
+        children_of = self.children_of
         stack = [(EMPTY, self.store.all_bits)]
         while stack:
             p, bits = stack.pop()
-            for c in self.children_of.get(p, ()):
+            for c in children_of.get(p, ()):
                 a, v = c[-1]
-                if new_tuple[a] == v and c not in visited:
+                if new_tuple[a] == v:
                     c_bits = bits & value_bits[a][v]
-                    self.evaluate(c, k, visited, c_bits)
-                    stack.append((c, c_bits))
+                    expanded = c in children_of
+                    self.evaluate(c, k, c_bits)
+                    if expanded:
+                        stack.append((c, c_bits))
 
-    def fire_k_tilde(self, k: int, visited: set[Pattern]) -> None:
+    def fire_k_tilde(self, k: int) -> None:
         """Patterns whose ``k̃`` has been reached without a count change are
         now violating (Algorithm 3, line 6). Every ``K`` entry has ``k̃``
         above the previous step, and ``selective_td`` gave each pattern it
@@ -179,7 +179,7 @@ class _PropState:
         K = self.K
         for p in self.due.pop(k, ()):
             if K.get(p) == k:
-                self.evaluate(p, k, visited, self.store.stat(p).bits)
+                self.evaluate(p, k, self.store.stat(p).bits)
 
     def promote(self, k: int) -> None:
         """Bring ``Res`` up to date with the step's changes to the
@@ -187,14 +187,14 @@ class _PropState:
         self.frontier.promote(k)
 
     def check_invariants(self, k: int) -> None:
-        """Debug/test hook: verify the documented invariants at position k."""
+        """Debug/test hook: verify the documented invariants of the
+        violating set and ``K`` at position k. The frontier checks its
+        own ``Res``."""
         n = self.store.n
-        self.frontier.check_invariants()
         violating = self.frontier.violating
         for p in violating:
             st = self.store.stat(p)
             assert self.spec.violates(st.topk(k), st.size, k, n), p
-        assert self.res.keys() == normalize_frontier(violating), k
         due = {kt: set(ps) for kt, ps in self.due.items()}
         assert all(kt > k for kt in due), (sorted(due), k)
         for p, kt in self.K.items():
@@ -216,16 +216,14 @@ def prop_bounds(
     check_params(store.n, tau, k_min, k_max)
     stats = SearchStats(deadline=deadline)
     s = _PropState(store, spec, tau, k_max, stats)
-    visited: set[Pattern] = set()
     # Full top-down search for k_min.
-    s.expand(EMPTY, k_min, visited, store.all_bits)
+    s.expand(EMPTY, k_min, store.all_bits)
     s.promote(k_min)
 
     for k in range(k_min + 1, k_max + 1):
         stats.check_deadline()
-        visited = set()
         new_tuple = store.row_at_rank(k)
-        s.selective_td(new_tuple, k, visited)
-        s.fire_k_tilde(k, visited)
+        s.selective_td(new_tuple, k)
+        s.fire_k_tilde(k)
         s.promote(k)
     return SearchResult(s.frontier.close(k_max), k_min, k_max, stats)

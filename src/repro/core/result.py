@@ -1,8 +1,10 @@
-"""Result and statistics containers shared by the search algorithms."""
+"""Result and statistics containers shared by the search algorithms and
+the brute-force oracle. The searches set the result masks through their
+:class:`~repro.core.topdown.Frontier`; the oracle reads them off the
+generalization lattice."""
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.core.pattern import Pattern
@@ -40,18 +42,6 @@ class SearchStats:
         self.examined = before + count
         if self.examined >> 9 != before >> 9:
             self.check_deadline()
-
-
-def add_step(
-    masks: dict[Pattern, int], res: Iterable[Pattern], k: int
-) -> None:
-    """Record ``res`` as ``Res_k``: set bit ``k`` of each of its patterns'
-    masks. ITERTD and brute force call it once per k of their range; the
-    incremental searches set whole runs of bits through their
-    :class:`~repro.core.topdown.Frontier`."""
-    bit = 1 << k
-    for p in res:
-        masks[p] = masks.get(p, 0) | bit
 
 
 @dataclass

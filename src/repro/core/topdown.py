@@ -24,11 +24,11 @@ looked up with ``stat()``.
 
 The search collects the generated patterns that violate into whatever it
 is given (anything with an ``add``). The paper's ``update`` splits them on
-the fly into ``Res``, the most general, and ``DRes``, the rest. ITERTD
-collects a plain set and derives ``Res`` from it in one pass with
-:func:`normalize_frontier`. GLOBALBOUNDS and PROPBOUNDS change one
-violating set from step to step, and keep it in a :class:`Frontier`,
-which brings ``Res`` up to date from the patterns that changed alone.
+the fly into ``Res``, the most general, and ``DRes``, the rest. All three
+searches keep their violating set in a :class:`Frontier`, which brings
+``Res`` up to date from the patterns that changed alone: ITERTD replaces
+the set with each k's fresh search, and GLOBALBOUNDS and PROPBOUNDS
+change it from step to step.
 """
 from __future__ import annotations
 
@@ -139,7 +139,7 @@ def normalize_frontier(
 
 
 class Frontier:
-    """The violating set of an incremental search, with its ``Res`` kept
+    """The violating set of a search over a k range, with its ``Res`` kept
     up to date from the changes alone.
 
     :meth:`add` and :meth:`discard` change the set and note the change;
@@ -171,7 +171,7 @@ class Frontier:
     :meth:`satisfied_by` finds the violating patterns a tuple satisfies
     from a count of the attribute sets the violating patterns span. The
     count is built at its first call and kept up to date from then on, so
-    a search that never asks (PROPBOUNDS) does not pay for it.
+    a search that never asks (ITERTD, PROPBOUNDS) does not pay for it.
     """
 
     def __init__(self) -> None:

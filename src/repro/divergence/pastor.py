@@ -52,7 +52,7 @@ def divergence_subgroups(
     check_params(n, tau, k, k)
     o_d = k / n
     rows = []
-    for p, st in substantial_patterns(store, tau).items():
+    for p, st in substantial_patterns(store, tau):
         outcome = st.topk(k) / st.size
         rows.append((p, st.size, outcome, outcome - o_d))
     rows.sort(key=lambda r: (r[3], r[0]))

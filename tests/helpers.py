@@ -1,21 +1,24 @@
 """Test helpers: randomized ranked datasets (driver-only) for the
 algorithm-equivalence grids, random bound specs, the check of a store's
-derived child bitmaps, the invariant checks of the incremental searches,
-and the references that only tests use (tuple satisfaction, pattern-graph
-parents, the driver-side group Shapley vector)."""
+derived child bitmaps, the invariant checks of the searches, and the
+references that only tests use (tuple satisfaction, pattern-graph
+parents, per-k result masks and the per-k brute-force filter, the
+driver-side group Shapley vector)."""
 from __future__ import annotations
 
 import contextlib
 import math
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
 
-from repro.core.bounds import GlobalSpec
-from repro.core.pattern import EMPTY, Pattern, children
+from repro.core.bounds import GlobalSpec, PropSpec, check_params
+from repro.core.brute_force import substantial_patterns
+from repro.core.pattern import EMPTY, Pattern, children, has_ancestor_in
 from repro.core.prop_bounds import _PropState
+from repro.core.result import SearchResult
 from repro.core.store import PatternStat, StatsStore
 from repro.core.topdown import Frontier, normalize_frontier
 from repro.datasets.base import RankedDataset
@@ -32,6 +35,42 @@ def parents(p: Pattern) -> Iterator[Pattern]:
     """All parents of ``p`` in the *pattern graph* (one pair removed)."""
     for i in range(len(p)):
         yield p[:i] + p[i + 1 :]
+
+
+def add_step(
+    masks: dict[Pattern, int], res: Iterable[Pattern], k: int
+) -> None:
+    """Record ``res`` as ``Res_k``: set bit ``k`` of each of its patterns'
+    masks."""
+    bit = 1 << k
+    for p in res:
+        masks[p] = masks.get(p, 0) | bit
+
+
+def per_k_oracle(
+    store: StatsStore,
+    spec: GlobalSpec | PropSpec,
+    tau: int,
+    k_min: int,
+    k_max: int,
+) -> SearchResult:
+    """A second formulation of the brute-force reference: at every k, the
+    substantial violating patterns with no violating proper subpattern,
+    found by a scan of all of them per k."""
+    check_params(store.n, tau, k_min, k_max)
+    substantial = dict(substantial_patterns(store, tau))
+    masks: dict[Pattern, int] = {}
+    for k in range(k_min, k_max + 1):
+        a, b, t = spec.linear(k, store.n)
+        mask = (1 << k) - 1
+        violating = {
+            p
+            for p, st in substantial.items()
+            if a * (st.bits & mask).bit_count() < b * st.size + t
+        }
+        res = (p for p in violating if not has_ancestor_in(p, violating))
+        add_step(masks, res, k)
+    return SearchResult(masks, k_min, k_max)
 
 
 def group_shapley(
@@ -53,9 +92,9 @@ def group_shapley(
 
 @contextlib.contextmanager
 def invariant_checks() -> Iterator[Counter]:
-    """Check the incremental searches' invariants at every k of the block.
+    """Check the searches' invariants at every k of the block.
 
-    After every ``Frontier.promote`` (one per k in GLOBALBOUNDS and
+    After every ``Frontier.promote`` (one per k in ITERTD, GLOBALBOUNDS and
     PROPBOUNDS, ``k_min`` included) the frontier's own checks run and its
     ``Res`` must equal ``normalize_frontier`` of the violating set. After
     every ``_PropState.promote`` PROPBOUNDS' invariants at that k run too.

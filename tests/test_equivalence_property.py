@@ -1,7 +1,8 @@
 """Property tests on any small ranked table — constant columns, duplicate
 rows, nulls, the full k range 1..n, τ_s of 1 or n:
 
-* ITERTD, GLOBALBOUNDS and PROPBOUNDS equal the brute-force reference;
+* ITERTD, GLOBALBOUNDS and PROPBOUNDS equal the brute-force reference,
+  and the lattice oracle equals the per-k filter;
 * τ-filter: for τ1 ≤ τ2, each algorithm's result at τ2 is its result at
   τ1 restricted to patterns of size ≥ τ2 (a substantial pattern's
   ancestors are at least as large, so raising τ_s removes results and
@@ -32,7 +33,11 @@ from repro.core.pattern import children
 from repro.core.prop_bounds import prop_bounds
 from repro.core.result import SearchStats
 from repro.core.topdown import resume_search, top_down_search
-from tests.helpers import assert_tree_children_match_stat, invariant_checks
+from tests.helpers import (
+    assert_tree_children_match_stat,
+    invariant_checks,
+    per_k_oracle,
+)
 
 
 @st.composite
@@ -85,16 +90,15 @@ def _runs(global_spec, alpha):
 def test_algorithms_match_brute_force(table):
     store, global_spec, alpha, tau = table
     n = store.n
-    g_args = (store, global_spec, tau, 1, n)
-    expected = brute_force(*g_args).res
-    assert iter_td(*g_args).res == expected
-    with invariant_checks():
-        assert global_bounds(*g_args).res == expected
-    p_args = (store, PropSpec(alpha), tau, 1, n)
-    expected = brute_force(*p_args).res
-    assert iter_td(*p_args).res == expected
-    with invariant_checks():
-        assert prop_bounds(*p_args).res == expected
+    for args, optimized in [
+        ((store, global_spec, tau, 1, n), global_bounds),
+        ((store, PropSpec(alpha), tau, 1, n), prop_bounds),
+    ]:
+        expected = brute_force(*args).res
+        assert per_k_oracle(*args).res == expected
+        with invariant_checks():
+            assert iter_td(*args).res == expected
+            assert optimized(*args).res == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.bounds import GlobalSpec
-from repro.core.result import SearchResult, SearchStats, add_step
+from repro.core.result import SearchResult, SearchStats
 from repro.experiments import (
     DEFAULTS,
     format_rows,
@@ -17,6 +17,7 @@ from repro.experiments import runner, sweeps
 from repro.experiments.runner import RunOutcome, run_algorithm
 from repro.experiments.shapley_exp import pick_group
 from repro.experiments.sweeps import Defaults, examined_gain
+from tests.helpers import add_step
 
 
 SMALL = Defaults(n_attrs=4, tau=3, k_min=3, k_max=10, alpha=0.8)

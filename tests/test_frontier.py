@@ -8,9 +8,8 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.result import add_step
 from repro.core.topdown import Frontier, normalize_frontier
-from tests.helpers import satisfies
+from tests.helpers import add_step, satisfies
 
 #: Every non-empty pattern over 3 attributes with values ``a``, ``b``.
 PATTERNS = [

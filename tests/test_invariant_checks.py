@@ -1,10 +1,11 @@
 """The invariant checks of ``tests.helpers.invariant_checks`` are live:
-under the hook GLOBALBOUNDS and PROPBOUNDS are checked once per k of their
-range, a ``Res`` that differs from ``normalize_frontier`` of the violating
-set fails, and the wrapped methods are restored when the block ends."""
+under the hook ITERTD, GLOBALBOUNDS and PROPBOUNDS are checked once per k
+of their range, a ``Res`` that differs from ``normalize_frontier`` of the
+violating set fails, and the wrapped methods are restored when the block
+ends."""
 import pytest
 
-from repro.core import GlobalSpec, PropSpec
+from repro.core import GlobalSpec, PropSpec, iter_td
 from repro.core.global_bounds import global_bounds
 from repro.core.prop_bounds import _PropState, prop_bounds
 from repro.core.topdown import Frontier
@@ -14,11 +15,12 @@ from tests.helpers import invariant_checks
 @pytest.mark.parametrize(
     "algo, spec, per_k",
     [
+        (iter_td, GlobalSpec({3: 1, 6: 2}), {"frontier"}),
         # L_k steps up at k = 6: a restart is checked too.
         (global_bounds, GlobalSpec({3: 1, 6: 2}), {"frontier"}),
         (prop_bounds, PropSpec(0.8), {"frontier", "prop"}),
     ],
-    ids=["global", "prop"],
+    ids=["itertd", "global", "prop"],
 )
 def test_checked_once_per_k(paper_ds, algo, spec, per_k):
     k_min, k_max = 3, 14

@@ -9,15 +9,37 @@ from repro.datasets.paper_example import paper_example
 from repro.ranking import add_rank, normalized_score, rank_frame
 
 
-def test_rank_matches_driver_rank_frame(spark):
-    """``add_rank`` gives each id the rank ``rank_frame`` gives it, the
-    driver ranker the dataset generators use. The scores tie, so the
-    ``id`` tiebreak decides part of the order."""
-    pdf = pd.DataFrame(
-        {"id": range(1, 21), "score": [((i * 7) % 13) * 1.0 for i in range(20)]}
-    )
+@pytest.mark.parametrize(
+    "pdf, order",
+    [
+        pytest.param(
+            pd.DataFrame({
+                "id": range(1, 21),
+                "score": [((i * 7) % 13) * 1.0 for i in range(20)],
+            }),
+            [12, 10, 8, 6, 19, 4, 17, 2, 15, 13, 11, 9, 7, 20, 5, 18, 3, 16,
+             1, 14],
+            id="cyclic",
+        ),
+        pytest.param(
+            pd.DataFrame({
+                "id": [5, 3, 9, 1, 7, 2],
+                "score": [2.0, 1.0, 2.0, 2.0, 1.0, 3.0],
+            }),
+            [2, 1, 5, 9, 3, 7],
+            id="ties",
+        ),
+    ],
+)
+def test_rank_matches_driver_rank_frame(spark, pdf, order):
+    """``rank_frame``, the driver ranker the dataset generators use, puts
+    the ids in score order, ties by ``id``, and ``add_rank`` gives each id
+    the same rank. The scores tie, so the ``id`` tiebreak decides part of
+    the order."""
     assert pdf["score"].duplicated().any()
     driver = rank_frame(pdf, "score")
+    assert driver["rank"].tolist() == list(range(1, len(pdf) + 1))
+    assert driver["id"].tolist() == order
     assert _spark_ranks(spark, pdf, "score") == dict(
         zip(driver["id"], driver["rank"])
     )
@@ -63,18 +85,6 @@ def test_driver_ranks_equal_window_ranks(request, spark, fixture, score_col):
     ds = request.getfixturevalue(fixture)
     spark_ranks = _spark_ranks(spark, ds.pdf.drop(columns=["rank"]), score_col)
     assert dict(zip(ds.pdf["id"], ds.pdf["rank"])) == spark_ranks
-
-
-def test_driver_ranks_equal_window_ranks_with_ties(spark):
-    pdf = pd.DataFrame(
-        {"id": [5, 3, 9, 1, 7, 2], "score": [2.0, 1.0, 2.0, 2.0, 1.0, 3.0]}
-    )
-    ranked = rank_frame(pdf, "score")
-    assert ranked["rank"].tolist() == [1, 2, 3, 4, 5, 6]
-    assert ranked["id"].tolist() == [2, 1, 5, 9, 3, 7]
-    assert dict(zip(ranked["id"], ranked["rank"])) == _spark_ranks(
-        spark, pdf, "score"
-    )
 
 
 class TestNormalizedScore:
